@@ -313,14 +313,25 @@ impl<'a> Parser<'a> {
                         other => return Err(Error(format!("bad escape `\\{}`", other as char))),
                     }
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
+                Some(lead) => {
+                    // Consume one UTF-8 character: its length follows
+                    // from the lead byte, and only those bytes are
+                    // validated, which keeps parsing linear in the input.
+                    let len = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        0xF0..=0xF7 => 4,
+                        _ => return Err(Error("invalid utf-8".to_string())),
+                    };
+                    let bytes = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .ok_or_else(|| Error("invalid utf-8".to_string()))?;
+                    let s = std::str::from_utf8(bytes)
                         .map_err(|_| Error("invalid utf-8".to_string()))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    out.push_str(s);
+                    self.pos += len;
                 }
             }
         }
@@ -403,6 +414,47 @@ mod tests {
         assert_eq!(from_str::<Vec<(String, usize)>>(&compact).unwrap(), v);
         assert_eq!(from_str::<Vec<(String, usize)>>(&pretty).unwrap(), v);
         assert!(pretty.contains('\n'));
+    }
+
+    #[test]
+    fn multi_megabyte_string_parses() {
+        // Linear in the input: each character validates only its own
+        // bytes, so a 4 MiB string parses in one pass.
+        let s = "ab\u{e9}\u{1F600}".repeat(1 << 19);
+        assert!(s.len() >= 4 << 20);
+        let json = to_string(&s).unwrap();
+        assert_eq!(from_str::<String>(&json).unwrap(), s);
+    }
+
+    #[test]
+    fn multi_byte_characters_round_trip() {
+        // Every UTF-8 length, at its boundaries and next to escapes.
+        for s in [
+            "\u{7F}\u{80}\u{7FF}\u{800}\u{FFFF}\u{10000}\u{10FFFF}",
+            "x\n\u{e9}\\\u{1F600}\"y",
+            "\u{20AC}",
+        ] {
+            let json = to_string(&s.to_string()).unwrap();
+            assert_eq!(from_str::<String>(&json).unwrap(), s);
+        }
+    }
+
+    #[test]
+    fn invalid_utf8_inside_a_string_errors() {
+        let parse = |bytes: &[u8]| Parser { bytes, pos: 0 }.string();
+        assert_eq!(parse(b"\"ok \xC3\xA9\"").unwrap(), "ok \u{e9}");
+        for bad in [
+            &b"\"ab\xFFcd\""[..],    // not a lead byte
+            b"\"ab\x80cd\"",         // stray continuation byte
+            b"\"ab\xC3(cd\"",        // lead byte without its continuation
+            b"\"ab\xE2\x82\"",       // sequence cut by the closing quote
+            b"\"ab\xED\xA0\x80cd\"", // encoded surrogate
+            b"\"ab\xC0\xAFcd\"",     // overlong encoding
+            b"\"ab\xF0\x9F\x98",     // truncated at the end of input
+        ] {
+            let err = parse(bad).unwrap_err();
+            assert!(err.0.contains("utf-8"), "{bad:?}: {err:?}");
+        }
     }
 
     #[test]

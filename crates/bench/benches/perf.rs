@@ -1259,195 +1259,6 @@ fn bench_source_mutation(_c: &mut Criterion) {
     println!("wrote {}", path.display());
 }
 
-/// One program's trace-guided-pruning measurement on the §6 schedule:
-/// the full engine stack (blocks + prefix fork) with pruning off vs on.
-struct PruneMeasurement {
-    program: &'static str,
-    runs: u64,
-    unpruned_runs_per_sec: f64,
-    pruned_runs_per_sec: f64,
-    trace_runs: u64,
-    dormant_skips: u64,
-    collapse_hits: u64,
-    collapse_logged: u64,
-    fork_hits: u64,
-    instrs_skipped: u64,
-}
-
-/// The PR-7 block interpreter's throughput on this same schedule, as
-/// committed in PR 7's BENCH_block_translation.json
-/// (`blocks_runs_per_sec`) — the strongest prior single-session engine.
-fn pr7_blocks_runs_per_sec(program: &str) -> Option<f64> {
-    match program {
-        "JB.team6" => Some(217_418.5),
-        "JB.team11" => Some(21_342.4),
-        "C.team10" => Some(23.1),
-        _ => None,
-    }
-}
-
-impl PruneMeasurement {
-    fn speedup(&self) -> f64 {
-        self.pruned_runs_per_sec / self.unpruned_runs_per_sec
-    }
-
-    fn speedup_vs_pr7(&self) -> Option<f64> {
-        pr7_blocks_runs_per_sec(self.program).map(|pr7| self.pruned_runs_per_sec / pr7)
-    }
-
-    fn speedup_vs_pr2(&self) -> Option<f64> {
-        pr2_cached_runs_per_sec(self.program).map(|pr2| self.pruned_runs_per_sec / pr2)
-    }
-}
-
-/// Measure the §6 class campaign for one program with trace-guided
-/// pruning off and on. Both sides run the full prior stack — block
-/// interpreter plus prefix-fork cache — so the delta is purely the
-/// def-use trace evidence: provable-dormancy skips and
-/// outcome-equivalence collapse hits.
-fn measure_trace_prune(name: &'static str, n_inputs: usize, seed: u64) -> PruneMeasurement {
-    let p = program(name).unwrap();
-    let compiled = compile(p.source_correct).unwrap();
-    let (n_assign, n_check) = chosen_locations(name);
-    let set = swifi_core::locations::generate_error_set(&compiled.debug, n_assign, n_check, seed);
-    let faults: Vec<_> = set
-        .assign_faults
-        .iter()
-        .chain(set.check_faults.iter())
-        .cloned()
-        .collect();
-    let inputs = p.family.test_case(n_inputs, seed ^ 0x5EED);
-
-    let mut unpruned = RunSession::new(&compiled, p.family);
-    unpruned.set_prefix_cache(Some(swifi_campaign::PrefixCache::shared()));
-    let pruned_cache = swifi_campaign::PrefixCache::shared();
-    pruned_cache.set_watch_pcs(swifi_campaign::watch_pcs_of(faults.iter().map(|f| &f.spec)));
-    let mut pruned = RunSession::new(&compiled, p.family);
-    pruned.set_prefix_cache(Some(pruned_cache));
-    pruned.set_prune(true, 0);
-
-    // Warm-up pass per side: snapshot captures, the traced clean runs,
-    // and the first collapse-class recordings all happen off the clock —
-    // the measured chunks are the steady state of a long campaign.
-    let _ = time_schedule(&faults, &inputs, seed, |input, spec, s| {
-        unpruned.run(input, Some(spec), s);
-    });
-    let _ = time_schedule(&faults, &inputs, seed, |input, spec, s| {
-        pruned.run(input, Some(spec), s);
-    });
-
-    let mut unpruned_best = 0.0f64;
-    let mut pruned_best = 0.0f64;
-    for _ in 0..INTERLEAVE_ROUNDS {
-        time_schedule_chunk_runs(&mut unpruned, &faults, &inputs, seed, &mut unpruned_best);
-        time_schedule_chunk_runs(&mut pruned, &faults, &inputs, seed, &mut pruned_best);
-    }
-    let stats = pruned.stats();
-    PruneMeasurement {
-        program: name,
-        runs: faults.len() as u64 * inputs.len() as u64,
-        unpruned_runs_per_sec: unpruned_best,
-        pruned_runs_per_sec: pruned_best,
-        trace_runs: stats.prune_trace_runs,
-        dormant_skips: stats.prune_dormant_skips,
-        collapse_hits: stats.prune_collapse_hits,
-        collapse_logged: stats.prune_collapse_logged,
-        fork_hits: stats.prefix_fork_hits,
-        instrs_skipped: stats.prefix_instrs_skipped,
-    }
-}
-
-/// Trace-guided pruning headline bench: §6 class campaigns with the
-/// full engine stack, pruning off vs on, recorded to
-/// `BENCH_trace_prune.json` at the repo root.
-fn bench_trace_prune(_c: &mut Criterion) {
-    if !bench_enabled("trace_prune") {
-        return;
-    }
-    let measurements: Vec<PruneMeasurement> = [("JB.team6", 6), ("JB.team11", 6), ("C.team10", 2)]
-        .iter()
-        .map(|&(name, n_inputs)| measure_trace_prune(name, n_inputs, 0xB007))
-        .collect();
-    let mut rows = String::new();
-    for m in &measurements {
-        println!(
-            "{:<42} unpruned: {:>8.1} runs/s  pruned: {:>8.1} runs/s  speedup: {:.2}x ({}x vs PR-7 blocks, {}x vs PR-2 cached)",
-            format!("prune/class_campaign_{}", m.program),
-            m.unpruned_runs_per_sec,
-            m.pruned_runs_per_sec,
-            m.speedup(),
-            m.speedup_vs_pr7()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "?".into()),
-            m.speedup_vs_pr2()
-                .map(|s| format!("{s:.2}"))
-                .unwrap_or_else(|| "?".into())
-        );
-        println!(
-            "{:<42} {} trace runs, {} dormant skips, {} collapse hits ({} classes logged), {} fork hits",
-            format!("prune/evidence_{}", m.program),
-            m.trace_runs,
-            m.dormant_skips,
-            m.collapse_hits,
-            m.collapse_logged,
-            m.fork_hits
-        );
-        if !rows.is_empty() {
-            rows.push_str(",\n");
-        }
-        let pr7 = match (pr7_blocks_runs_per_sec(m.program), m.speedup_vs_pr7()) {
-            (Some(base), Some(s)) => {
-                format!("\"pr7_blocks_runs_per_sec\": {base:.1}, \"speedup_vs_pr7_blocks\": {s:.2}")
-            }
-            _ => "\"pr7_blocks_runs_per_sec\": null, \"speedup_vs_pr7_blocks\": null".into(),
-        };
-        let pr2 = match (pr2_cached_runs_per_sec(m.program), m.speedup_vs_pr2()) {
-            (Some(base), Some(s)) => {
-                format!("\"pr2_cached_runs_per_sec\": {base:.1}, \"speedup_vs_pr2_cached\": {s:.2}")
-            }
-            _ => "\"pr2_cached_runs_per_sec\": null, \"speedup_vs_pr2_cached\": null".into(),
-        };
-        rows.push_str(&format!(
-            "    {{\"program\": \"{}\", \"runs\": {}, \
-             \"unpruned_runs_per_sec\": {:.1}, \"pruned_runs_per_sec\": {:.1}, \
-             \"runs_speedup\": {:.2}, {pr7}, {pr2}, \
-             \"trace_runs\": {}, \"dormant_skips\": {}, \"collapse_hits\": {}, \
-             \"collapse_classes_logged\": {}, \"fork_hits\": {}, \"instrs_skipped\": {}}}",
-            m.program,
-            m.runs,
-            m.unpruned_runs_per_sec,
-            m.pruned_runs_per_sec,
-            m.speedup(),
-            m.trace_runs,
-            m.dormant_skips,
-            m.collapse_hits,
-            m.collapse_logged,
-            m.fork_hits,
-            m.instrs_skipped
-        ));
-    }
-    let json = format!(
-        "{{\n  \"bench\": \"trace_prune\",\n  \"schedule\": \"section6 class campaign, all \
-         generated faults x shared inputs (6 for JB, 2 for Camelot)\",\n  \"unpruned\": \"warm \
-         RunSession, block interpreter + prefix-fork cache, pruning disabled (--no-prune; the \
-         PR 7-era engine stack)\",\n  \"pruned\": \"same stack plus trace-guided pruning: one \
-         def-use traced clean run per input proves dormancy for overwritten-before-use \
-         corruption, and identical corruption logs collapse into their recorded \
-         representative\",\n  \"pr7_baseline\": \"blocks_runs_per_sec from PR 7's committed \
-         BENCH_block_translation.json, same schedule\",\n  \"pr2_baseline\": \
-         \"cached_runs_per_sec from PR 2's committed BENCH_translation_cache.json, same \
-         schedule\",\n  \"metric\": \"runs/s: pruned runs skip whole executions by proof, \
-         which is the speedup\",\n  \"methodology\": \"interleaved best-of-{INTERLEAVE_ROUNDS} \
-         chunks of >={CHUNK_SECS}s per side; both sides warmed first so measured chunks are \
-         the steady state\",\n  \"programs\": [\n{rows}\n  ]\n}}\n"
-    );
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("../..")
-        .join("BENCH_trace_prune.json");
-    std::fs::write(&path, json).expect("write BENCH_trace_prune.json");
-    println!("wrote {}", path.display());
-}
-
 /// Interned-key lookup micro-bench: the prefix cache's hot probes hash
 /// a `(u32, u32, u64, …)` key after interning the input once; before
 /// interning every probe hashed (and every insert cloned) the full
@@ -1526,7 +1337,6 @@ criterion_group!(
     bench_block_translation,
     bench_trace_overhead,
     bench_source_mutation,
-    bench_trace_prune,
     bench_intern_lookup
 );
 criterion_main!(benches);

@@ -53,7 +53,6 @@ pub mod engine;
 pub mod exposure;
 pub mod hardware;
 pub mod intensive;
-pub mod plan;
 pub mod pool;
 pub mod prefix;
 pub mod report;
@@ -70,8 +69,7 @@ pub use engine::{
     AbnormalRun, CampaignEngine, CampaignOptions, CheckpointHeader, CheckpointLog, PhaseTime,
     RunRecord, RunStatus,
 };
-pub use plan::{RunPlan, RunPlanner};
-pub use prefix::{watch_pcs_of, CollapseClass, GoldenRun, PrefixCache};
+pub use prefix::{watch_pcs_of, GoldenRun, PrefixCache};
 pub use runner::{classify_outcome, execute, execute_cold, FailureMode, ModeCounts};
 pub use section6::{campaign_all, class_campaign, CampaignScale, ProgramCampaign};
 pub use session::{RunSession, SessionError, SessionStats, Throughput};

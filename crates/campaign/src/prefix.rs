@@ -24,14 +24,15 @@
 //! - **trigger totals** — the same finished capture proves how many
 //!   times the trigger PC executes in the golden run, so any fault
 //!   needing a later occurrence is classified dormant outright;
-//! - **def-use traces** — one dedicated clean run per input records a
-//!   [`DefUseTrace`] over the campaign's candidate trigger PCs
-//!   ([`PrefixCache::set_watch_pcs`]), the evidence base for provable
-//!   dormancy and the adaptive run planner (`plan.rs`);
-//! - **collapse classes** — a fired run whose complete corruption log
-//!   ([`FireLog`]) is on record becomes the representative for every
-//!   later fault that provably applies the identical corruptions at the
-//!   same trigger occurrence ([`PrefixCache::collapse_match`]).
+//! - **shallow vetoes** — a capture run that pauses at less than a
+//!   quarter of the golden run's depth records the key as too shallow to
+//!   fork, so later runs with it execute in full without a capture
+//!   attempt.
+//!
+//! Every answer the cache gives comes from a run some (fault, input) pair
+//! of the campaign asked for: it never pays for an extra execution, so a
+//! campaign's executed plus skipped instructions equal those of the same
+//! campaign without the cache.
 //!
 //! The cache is owned by the campaign driver and shared across the
 //! worker pool behind an [`Arc`]: all sessions of one phase run the
@@ -55,11 +56,8 @@
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::{Arc, Mutex};
 
-use crate::plan::RunPlan;
-use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
-use swifi_core::injector::FireLog;
+use swifi_core::fault::{FaultSpec, Trigger};
 use swifi_programs::input::TestInput;
-use swifi_vm::defuse::DefUseTrace;
 use swifi_vm::machine::RunOutcome;
 use swifi_vm::ForkSnapshot;
 
@@ -72,37 +70,11 @@ pub struct GoldenRun {
     pub retired: u64,
 }
 
-/// A memoized representative injected run: the complete corruption log
-/// it applied plus how it ended. A later fault whose error operation
-/// provably reproduces `log` event-for-event shares this record instead
-/// of executing (outcome-equivalence collapse).
-#[derive(Debug, Clone)]
-pub struct CollapseClass {
-    /// Every corruption the representative applied, in firing order.
-    /// Always complete (truncated logs are refused at record time).
-    pub log: Arc<FireLog>,
-    /// How the representative run ended.
-    pub outcome: RunOutcome,
-    /// Whether the representative's fault fired.
-    pub fired: bool,
-    /// Guest instructions the representative retired.
-    pub retired: u64,
-}
-
 /// Default bound on retained fork snapshots.
 const DEFAULT_MAX_SNAPSHOTS: usize = 1024;
 
-/// Bound on distinct collapse classes memoized per
-/// `(input, pc, occurrence, target, firing)` key; campaigns generate only
-/// a handful of error ops per location, so overflow means the key is
-/// pathological and further representatives are simply not retained.
-const MAX_COLLAPSE_PER_KEY: usize = 8;
-
 /// (interned input, trigger pc, firing occurrence).
 type SnapKey = (u32, u32, u64);
-
-/// (interned input, trigger pc, firing occurrence, target, firing).
-type CollapseKey = (u32, u32, u64, Target, Firing);
 
 #[derive(Default)]
 struct Inner {
@@ -127,23 +99,6 @@ struct Inner {
     /// even attempting a capture. Unbounded like the other memos (a few
     /// words per fault).
     shallow: HashSet<SnapKey>,
-    /// input id → def-use trace of the dedicated clean run. `Some(None)`
-    /// memoizes a failed attempt (e.g. the clean run hit the watchdog)
-    /// so it is not retried per fault.
-    traces: HashMap<u32, Option<Arc<DefUseTrace>>>,
-    /// Representative injected runs for outcome-equivalence collapse.
-    collapse: HashMap<CollapseKey, Vec<CollapseClass>>,
-    /// Memoized successful collapse probes: the exact probe key → the
-    /// class that matched. Classes are append-only, so a hit never goes
-    /// stale; misses are not cached (a later representative may match).
-    collapse_memo: HashMap<(CollapseKey, ErrorOp), CollapseClass>,
-    /// (input id, fault spec) → the adaptive planner's verdict. The plan
-    /// is a pure function of the first-writer-wins def-use trace, so one
-    /// occurrence walk serves every later run of the same pair.
-    plans: HashMap<(u32, FaultSpec), RunPlan>,
-    /// Candidate trigger PCs the campaign will inject at — the def-use
-    /// recorder watches exactly these during the traced clean run.
-    watch: Arc<Vec<u32>>,
 }
 
 impl Inner {
@@ -194,9 +149,8 @@ impl PrefixCache {
     }
 
     /// A cache retaining at most `max_snapshots` fork snapshots (FIFO
-    /// eviction beyond that). Golden, trigger-total, shallow, trace and
-    /// collapse memos are not bounded the same way (they are a few words
-    /// per key).
+    /// eviction beyond that). Golden, trigger-total and shallow memos are
+    /// not bounded the same way (they are a few words per key).
     pub fn with_capacity(max_snapshots: usize) -> PrefixCache {
         PrefixCache {
             inner: Mutex::new(Inner::default()),
@@ -302,132 +256,8 @@ impl PrefixCache {
         inner.shallow.insert((id, pc, occ));
     }
 
-    /// The def-use trace of `input`'s clean run: `None` if no traced run
-    /// happened yet, `Some(None)` if one was attempted and memoized as
-    /// unusable, `Some(Some(trace))` otherwise.
-    #[allow(clippy::option_option)]
-    pub fn trace(&self, input: &TestInput) -> Option<Option<Arc<DefUseTrace>>> {
-        let inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.id(input)?;
-        inner.traces.get(&id).cloned()
-    }
-
-    /// Record the def-use trace of `input`'s clean run (first writer
-    /// wins). Pass `None` to memoize a failed attempt so it is not
-    /// retried for every fault.
-    pub fn record_trace(&self, input: &TestInput, trace: Option<Arc<DefUseTrace>>) {
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.intern(input);
-        inner.traces.entry(id).or_insert(trace);
-    }
-
-    /// A memoized representative run whose complete corruption log is
-    /// exactly what `op` would apply: every logged event satisfies
-    /// `op.apply(input) == output`. Sound by induction — identical
-    /// corruptions applied to the identical pre-states reproduce the
-    /// representative's entire trajectory. Non-deterministic ops
-    /// ([`ErrorOp::ReplaceRandom`]) never match.
-    pub fn collapse_match(
-        &self,
-        input: &TestInput,
-        pc: u32,
-        occ: u64,
-        target: Target,
-        when: Firing,
-        op: &ErrorOp,
-    ) -> Option<CollapseClass> {
-        if matches!(op, ErrorOp::ReplaceRandom) {
-            return None;
-        }
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.id(input)?;
-        let key = (id, pc, occ, target, when);
-        if let Some(class) = inner.collapse_memo.get(&(key, *op)) {
-            return Some(class.clone());
-        }
-        let classes = inner.collapse.get(&key)?;
-        let class = classes
-            .iter()
-            .find(|c| {
-                c.log
-                    .events
-                    .iter()
-                    .all(|ev| op.apply(ev.input, 0) == ev.output)
-            })
-            .cloned()?;
-        inner.collapse_memo.insert((key, *op), class.clone());
-        Some(class)
-    }
-
-    /// The adaptive planner's memoized verdict for `(input, spec)`, if
-    /// one was recorded ([`PrefixCache::record_plan`]).
-    pub fn plan_memo(&self, input: &TestInput, spec: &FaultSpec) -> Option<RunPlan> {
-        let inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.id(input)?;
-        inner.plans.get(&(id, *spec)).copied()
-    }
-
-    /// Memoize the planner's verdict for `(input, spec)`. The verdict
-    /// derives from the input's def-use trace, which is first-writer-wins
-    /// and immutable once recorded — so one occurrence walk serves every
-    /// later run of the pair, across all workers.
-    pub fn record_plan(&self, input: &TestInput, spec: &FaultSpec, plan: RunPlan) {
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.intern(input);
-        inner.plans.insert((id, *spec), plan);
-    }
-
-    /// Retain a fired run as the collapse representative for its key.
-    /// Truncated logs are refused (they cannot prove equivalence); per
-    /// key at most [`MAX_COLLAPSE_PER_KEY`] distinct classes are kept.
-    /// Returns whether the class was stored (duplicates and overflow are
-    /// dropped).
-    pub fn record_collapse(
-        &self,
-        input: &TestInput,
-        pc: u32,
-        occ: u64,
-        target: Target,
-        when: Firing,
-        class: CollapseClass,
-    ) -> bool {
-        if !class.log.complete() {
-            return false;
-        }
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        let id = inner.intern(input);
-        let classes = inner
-            .collapse
-            .entry((id, pc, occ, target, when))
-            .or_default();
-        if classes.len() >= MAX_COLLAPSE_PER_KEY
-            || classes.iter().any(|c| c.log.events == class.log.events)
-        {
-            return false;
-        }
-        classes.push(class);
-        true
-    }
-
-    /// Declare the campaign's candidate trigger PCs. The traced clean
-    /// run watches exactly these; drivers call this once, after
-    /// generating the fault set and before starting the pool.
-    pub fn set_watch_pcs(&self, mut pcs: Vec<u32>) {
-        pcs.sort_unstable();
-        pcs.dedup();
-        let mut inner = self.inner.lock().expect("prefix cache poisoned");
-        inner.watch = Arc::new(pcs);
-    }
-
-    /// The declared candidate trigger PCs (empty until
-    /// [`PrefixCache::set_watch_pcs`]).
-    pub fn watch_pcs(&self) -> Arc<Vec<u32>> {
-        self.inner
-            .lock()
-            .expect("prefix cache poisoned")
-            .watch
-            .clone()
-    }
+    /// Inert, a no-op; kept only because `perfbench` calls it.
+    pub fn set_watch_pcs(&self, _pcs: Vec<u32>) {}
 
     /// The host-oracle expected output for `input`, computed once across
     /// all sessions sharing this cache.
@@ -456,10 +286,8 @@ impl PrefixCache {
     }
 }
 
-/// The distinct [`Trigger::OpcodeFetch`] PCs of a fault set — the watch
-/// list campaign drivers hand to [`PrefixCache::set_watch_pcs`]. Faults
-/// with other trigger shapes contribute nothing: the def-use machinery
-/// only reasons about fetch-triggered corruption.
+/// The [`Trigger::OpcodeFetch`] PCs of a fault set. Inert: kept only
+/// because `perfbench` passes them to [`PrefixCache::set_watch_pcs`].
 pub fn watch_pcs_of<'a>(specs: impl IntoIterator<Item = &'a FaultSpec>) -> Vec<u32> {
     specs
         .into_iter()
@@ -473,7 +301,6 @@ pub fn watch_pcs_of<'a>(specs: impl IntoIterator<Item = &'a FaultSpec>) -> Vec<u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use swifi_core::injector::FireEvent;
     use swifi_lang::compile;
     use swifi_programs::program;
     use swifi_vm::inspect::Noop;
@@ -598,105 +425,5 @@ mod tests {
         assert_eq!(cache.total_occurrences(&inputs[1], 0x100), Some(5));
         assert!(cache.is_shallow(&inputs[0], 0x100, 1));
         assert!(!cache.is_shallow(&inputs[1], 0x100, 1));
-    }
-
-    #[test]
-    fn collapse_matches_exact_corruption_logs_only() {
-        let target = program("JB.team11").unwrap();
-        let input = &target.family.test_case(1, 2)[0];
-        let cache = PrefixCache::new();
-        let key = (0x10C_u32, 1_u64, Target::DataBusStore, Firing::EveryTime);
-        let class = CollapseClass {
-            log: Arc::new(FireLog {
-                events: vec![FireEvent {
-                    input: 41,
-                    output: 42,
-                }],
-                overflowed: false,
-            }),
-            outcome: RunOutcome::Completed {
-                exit_code: 0,
-                output: b"42".to_vec(),
-            },
-            fired: true,
-            retired: 10,
-        };
-        cache.record_collapse(input, key.0, key.1, key.2, key.3, class);
-        let hit = |op: &ErrorOp| cache.collapse_match(input, key.0, key.1, key.2, key.3, op);
-        // Add(1) on 41 → 42 and Replace(42) on anything → 42: both
-        // provably reproduce the representative's only corruption.
-        assert!(hit(&ErrorOp::Add(1)).is_some());
-        assert!(hit(&ErrorOp::Replace(42)).is_some());
-        assert!(hit(&ErrorOp::Or(3)).is_none(), "41|3 = 43, not 42");
-        assert!(hit(&ErrorOp::Add(2)).is_none());
-        assert!(
-            hit(&ErrorOp::ReplaceRandom).is_none(),
-            "non-deterministic ops never collapse"
-        );
-        // Different occurrence / target / firing: separate keys.
-        assert!(cache
-            .collapse_match(input, key.0, 2, key.2, key.3, &ErrorOp::Add(1))
-            .is_none());
-        assert!(cache
-            .collapse_match(
-                input,
-                key.0,
-                key.1,
-                Target::DataBusLoad,
-                key.3,
-                &ErrorOp::Add(1)
-            )
-            .is_none());
-        let retired = hit(&ErrorOp::Add(1)).unwrap().retired;
-        assert_eq!(retired, 10);
-
-        // Truncated logs are refused at record time.
-        let truncated = CollapseClass {
-            log: Arc::new(FireLog {
-                events: Vec::new(),
-                overflowed: true,
-            }),
-            outcome: RunOutcome::Hang { output: Vec::new() },
-            fired: true,
-            retired: 1,
-        };
-        cache.record_collapse(input, 0x200, 1, key.2, key.3, truncated);
-        assert!(cache
-            .collapse_match(input, 0x200, 1, key.2, key.3, &ErrorOp::Add(1))
-            .is_none());
-    }
-
-    #[test]
-    fn trace_and_watch_memos() {
-        let target = program("JB.team11").unwrap();
-        let input = &target.family.test_case(1, 2)[0];
-        let cache = PrefixCache::new();
-        assert!(cache.watch_pcs().is_empty());
-        cache.set_watch_pcs(vec![0x10C, 0x104, 0x10C]);
-        assert_eq!(*cache.watch_pcs(), vec![0x104, 0x10C]);
-
-        assert!(cache.trace(input).is_none(), "no traced run yet");
-        cache.record_trace(input, None);
-        assert!(
-            matches!(cache.trace(input), Some(None)),
-            "failed attempt memoized, not retried"
-        );
-        // First writer wins: a later success does not overwrite.
-        let dummy = {
-            let image = swifi_vm::asm::assemble("li r3, 0\nhalt").unwrap();
-            let mut m = Machine::new(MachineConfig::default());
-            m.load(&image);
-            let rec = swifi_vm::DefUseRecorder::new(
-                m.core(0),
-                &image.code,
-                &[],
-                swifi_vm::InputTape::new(),
-            );
-            let mut rec = rec;
-            let out = m.run(&mut rec);
-            Arc::new(rec.finish(&out))
-        };
-        cache.record_trace(input, Some(dummy));
-        assert!(matches!(cache.trace(input), Some(None)));
     }
 }

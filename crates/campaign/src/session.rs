@@ -35,13 +35,11 @@ use swifi_programs::Family;
 use swifi_trace::event::{arg_str, arg_u64};
 use swifi_trace::metrics::names as metric_names;
 use swifi_trace::{ProfiledInspector, WorkerTelemetry};
-use swifi_vm::defuse::{DefUseRecorder, DefUseTrace};
 use swifi_vm::inspect::Inspector;
 use swifi_vm::machine::{FetchStop, Machine, MachineSnapshot, RunOutcome};
 use swifi_vm::Noop;
 
-use crate::plan::{RunPlan, RunPlanner};
-use crate::prefix::{CollapseClass, GoldenRun, PrefixCache};
+use crate::prefix::{GoldenRun, PrefixCache};
 use crate::runner::{campaign_config, classify_outcome, FailureMode};
 
 /// Per-session run counters, folded into a campaign-level [`Throughput`].
@@ -98,23 +96,14 @@ pub struct SessionStats {
     pub block_fallbacks: u64,
     /// Translated blocks discarded because a write touched their words.
     pub block_invalidations: u64,
-    /// Dedicated def-use-traced clean runs executed (one per input when
-    /// pruning is enabled and trigger PCs are declared).
+    /// Inert, always 0; kept only because `perfbench` reads it.
     pub prune_trace_runs: u64,
-    /// Injected runs answered by a provable-dormancy proof from the
-    /// def-use trace, without executing.
+    /// Inert, always 0; kept only because `perfbench` reads it.
     pub prune_dormant_skips: u64,
-    /// Injected runs answered by an outcome-equivalence collapse class,
-    /// without executing.
+    /// Inert, always 0; kept only because `perfbench` reads it.
     pub prune_collapse_hits: u64,
-    /// Executed fired runs whose complete corruption log was retained as
-    /// a collapse representative.
+    /// Inert, always 0; kept only because `perfbench` reads it.
     pub prune_collapse_logged: u64,
-    /// Pruned/collapsed answers re-validated by a full sampled run.
-    pub prune_sample_checks: u64,
-    /// Sampled validations whose full run disagreed with the prediction
-    /// (must stay zero; a nonzero count is a soundness bug).
-    pub prune_sample_mispredicts: u64,
 }
 
 impl SessionStats {
@@ -140,12 +129,6 @@ impl SessionStats {
         self.block_instrs += other.block_instrs;
         self.block_fallbacks += other.block_fallbacks;
         self.block_invalidations += other.block_invalidations;
-        self.prune_trace_runs += other.prune_trace_runs;
-        self.prune_dormant_skips += other.prune_dormant_skips;
-        self.prune_collapse_hits += other.prune_collapse_hits;
-        self.prune_collapse_logged += other.prune_collapse_logged;
-        self.prune_sample_checks += other.prune_sample_checks;
-        self.prune_sample_mispredicts += other.prune_sample_mispredicts;
     }
 }
 
@@ -201,18 +184,6 @@ pub struct Throughput {
     pub block_fallbacks: u64,
     /// Translated blocks discarded by code writes.
     pub block_invalidations: u64,
-    /// Def-use-traced clean runs executed across all sessions.
-    pub prune_trace_runs: u64,
-    /// Injected runs answered by a provable-dormancy proof.
-    pub prune_dormant_skips: u64,
-    /// Injected runs answered by an outcome-equivalence collapse class.
-    pub prune_collapse_hits: u64,
-    /// Fired runs retained as collapse representatives.
-    pub prune_collapse_logged: u64,
-    /// Pruned answers re-validated by a full sampled run.
-    pub prune_sample_checks: u64,
-    /// Sampled validations that disagreed with the prediction.
-    pub prune_sample_mispredicts: u64,
 }
 
 impl PartialEq for Throughput {
@@ -264,12 +235,6 @@ impl Throughput {
             block_instrs: stats.block_instrs,
             block_fallbacks: stats.block_fallbacks,
             block_invalidations: stats.block_invalidations,
-            prune_trace_runs: stats.prune_trace_runs,
-            prune_dormant_skips: stats.prune_dormant_skips,
-            prune_collapse_hits: stats.prune_collapse_hits,
-            prune_collapse_logged: stats.prune_collapse_logged,
-            prune_sample_checks: stats.prune_sample_checks,
-            prune_sample_mispredicts: stats.prune_sample_mispredicts,
         }
     }
 
@@ -314,12 +279,6 @@ impl Throughput {
         self.block_instrs += other.block_instrs;
         self.block_fallbacks += other.block_fallbacks;
         self.block_invalidations += other.block_invalidations;
-        self.prune_trace_runs += other.prune_trace_runs;
-        self.prune_dormant_skips += other.prune_dormant_skips;
-        self.prune_collapse_hits += other.prune_collapse_hits;
-        self.prune_collapse_logged += other.prune_collapse_logged;
-        self.prune_sample_checks += other.prune_sample_checks;
-        self.prune_sample_mispredicts += other.prune_sample_mispredicts;
     }
 }
 
@@ -335,20 +294,6 @@ struct CachedInjector {
     specs: Vec<FaultSpec>,
     mode: TriggerMode,
     injector: Injector,
-}
-
-/// Salt folded into the run seed when deciding whether a pruned answer is
-/// re-validated by a full sampled run, so the sampling stream is
-/// independent of the injector's random-value stream.
-const SAMPLE_SALT: u64 = 0x5057_4946_5052_4E45;
-
-/// SplitMix64 finalizer: a cheap, well-mixed hash of the run seed for the
-/// deterministic sampling decision.
-fn splitmix64(x: u64) -> u64 {
-    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 /// A structured failure from the fallible run entry points
@@ -431,18 +376,6 @@ pub struct RunSession {
     /// *run* (never per instruction), which is what keeps the disabled
     /// overhead inside the <1% budget of `BENCH_trace_overhead.json`.
     telemetry: Option<WorkerTelemetry>,
-    /// The loaded program's code words, kept for the def-use recorder's
-    /// static decode of watched sites.
-    code: Arc<Vec<u32>>,
-    /// Trace-guided pruning: when enabled (and the prefix cache declares
-    /// watch PCs), injected runs consult the [`RunPlanner`] and the
-    /// collapse store before executing.
-    prune: bool,
-    /// Percentage (0–100) of pruned/collapsed answers re-validated by a
-    /// full run (the sampling oracle). 0 disables validation.
-    prune_sample_pct: u32,
-    /// The adaptive planner consulted when `prune` is on.
-    planner: RunPlanner,
 }
 
 impl std::fmt::Debug for RunSession {
@@ -473,10 +406,6 @@ impl RunSession {
             last_retired: 0,
             watchdog: None,
             telemetry: None,
-            code: Arc::new(program.image.code.clone()),
-            prune: false,
-            prune_sample_pct: 0,
-            planner: RunPlanner::default(),
         }
     }
 
@@ -486,18 +415,6 @@ impl RunSession {
     /// identically-built machines. `None` disables prefix forking.
     pub fn set_prefix_cache(&mut self, cache: Option<Arc<PrefixCache>>) {
         self.prefix = cache;
-    }
-
-    /// Enable trace-guided pruning: provable-dormancy skips,
-    /// outcome-equivalence collapse, and the adaptive fork planner.
-    /// Inert without a prefix cache whose
-    /// [`PrefixCache::set_watch_pcs`] declares the campaign's trigger
-    /// PCs. `sample_pct` (clamped to 0–100) of pruned answers are
-    /// re-validated by running the skipped run in full and comparing
-    /// outcome, fired flag and retired count — the sampling oracle.
-    pub fn set_prune(&mut self, enabled: bool, sample_pct: u32) {
-        self.prune = enabled;
-        self.prune_sample_pct = sample_pct.min(100);
     }
 
     /// Retired-instruction count of the most recent run, as a full run
@@ -800,11 +717,6 @@ impl RunSession {
                 t.instant("fault_arm", vec![arg_u64("faults", specs.len() as u64)]);
             }
         }
-        if let Some(c) = self.cached.as_mut() {
-            // Corruption logging feeds the collapse store; keep it off
-            // (and free) when pruning is disabled.
-            c.injector.set_fire_log(self.prune);
-        }
         Ok(())
     }
 
@@ -901,15 +813,6 @@ impl RunSession {
                 let golden = cache
                     .golden(input)
                     .expect("trigger totals are recorded together with the golden run");
-                self.maybe_sample_check(
-                    input,
-                    specs,
-                    mode,
-                    seed,
-                    &golden.outcome,
-                    false,
-                    golden.retired,
-                );
                 self.stats.runs += 1;
                 self.stats.prefix_dormant_short_circuits += 1;
                 self.stats.prefix_instrs_skipped += golden.retired;
@@ -924,77 +827,7 @@ impl RunSession {
             }
         }
 
-        let plan = if self.prune {
-            self.plan_injected(&cache, input, &specs[0])
-        } else {
-            None
-        };
-
-        if let Some(RunPlan::DormantSkip { fired }) = plan {
-            if let Some(golden) = cache.golden(input) {
-                self.maybe_sample_check(
-                    input,
-                    specs,
-                    mode,
-                    seed,
-                    &golden.outcome,
-                    fired,
-                    golden.retired,
-                );
-                self.stats.runs += 1;
-                self.stats.prune_dormant_skips += 1;
-                self.stats.prefix_instrs_skipped += golden.retired;
-                self.account_injected_memoized(golden.retired, fired);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.instant(
-                        "prune_dormant",
-                        vec![arg_u64("pc", pc as u64), arg_u64("occ", occ)],
-                    );
-                }
-                return (golden.outcome, fired);
-            }
-        }
-
-        if self.prune {
-            let spec = &specs[0];
-            if let Some(class) =
-                cache.collapse_match(input, pc, occ, spec.target, spec.when, &spec.what)
-            {
-                self.maybe_sample_check(
-                    input,
-                    specs,
-                    mode,
-                    seed,
-                    &class.outcome,
-                    class.fired,
-                    class.retired,
-                );
-                self.stats.runs += 1;
-                self.stats.prune_collapse_hits += 1;
-                self.stats.prefix_instrs_skipped += class.retired;
-                self.account_injected_memoized(class.retired, class.fired);
-                if let Some(t) = self.telemetry.as_mut() {
-                    t.instant(
-                        "collapse_hit",
-                        vec![arg_u64("pc", pc as u64), arg_u64("occ", occ)],
-                    );
-                }
-                return (class.outcome, class.fired);
-            }
-        }
-
-        // The planner's Full verdict is a measured shallow/no-site call:
-        // take the plain path without probing for a capture. Its Fork
-        // verdict overrides the legacy shallow-veto memo (the exact
-        // measured depth beats the capture-run estimate).
-        let planned_fork = matches!(plan, Some(RunPlan::Fork));
-        if matches!(plan, Some(RunPlan::Full)) {
-            let result = self.run_cold(input, specs, mode, seed);
-            self.maybe_record_collapse(&cache, input, &specs[0], pc, occ, &result.0, result.1);
-            return result;
-        }
-
-        if !planned_fork && cache.is_shallow(input, pc, occ) {
+        if cache.is_shallow(input, pc, occ) {
             self.stats.prefix_shallow_skips += 1;
             if let Some(t) = self.telemetry.as_mut() {
                 t.instant(
@@ -1002,9 +835,7 @@ impl RunSession {
                     vec![arg_u64("pc", pc as u64), arg_u64("occ", occ)],
                 );
             }
-            let result = self.run_cold(input, specs, mode, seed);
-            self.maybe_record_collapse(&cache, input, &specs[0], pc, occ, &result.0, result.1);
-            return result;
+            return self.run_cold(input, specs, mode, seed);
         }
 
         if let Some(fork) = cache.snapshot(input, pc, occ) {
@@ -1027,7 +858,6 @@ impl RunSession {
             let (outcome, fired) = self.resume_injected(specs, mode, seed, occ);
             self.stats.retired_instrs += self.machine.retired() - fork.retired();
             self.account_injected_memoized(self.machine.retired(), fired);
-            self.maybe_record_collapse(&cache, input, &specs[0], pc, occ, &outcome, fired);
             return (outcome, fired);
         }
 
@@ -1061,7 +891,7 @@ impl RunSession {
                 (outcome, false)
             }
             FetchStop::Hit => {
-                let captured = if planned_fork || self.fork_worthwhile(&cache, input) {
+                let captured = if self.fork_worthwhile(&cache, input) {
                     if cache.insert_snapshot(input, pc, occ, Arc::new(self.machine.fork_snapshot()))
                     {
                         self.stats.prefix_snapshots_built += 1;
@@ -1087,170 +917,9 @@ impl RunSession {
                 }
                 let (outcome, fired) = self.resume_injected(specs, mode, seed, occ);
                 self.account_injected(self.machine.retired(), fired);
-                self.maybe_record_collapse(&cache, input, &specs[0], pc, occ, &outcome, fired);
                 (outcome, fired)
             }
         }
-    }
-
-    /// Consult the adaptive planner for a single-fault `OpcodeFetch`
-    /// run, ensuring `input`'s def-use trace exists first. `None` when
-    /// no usable trace is available.
-    fn plan_injected(
-        &mut self,
-        cache: &PrefixCache,
-        input: &TestInput,
-        spec: &FaultSpec,
-    ) -> Option<RunPlan> {
-        if let Some(plan) = cache.plan_memo(input, spec) {
-            return Some(plan);
-        }
-        let trace = self.ensure_trace(cache, input)?;
-        let plan = self.planner.plan(spec, &trace);
-        cache.record_plan(input, spec, plan);
-        Some(plan)
-    }
-
-    /// The def-use trace for `input`, executing the dedicated traced
-    /// clean run on first need. One instrumented execution per input,
-    /// amortized over every fault probing that input; the golden run and
-    /// the exact trigger totals of every watched PC ride along (the
-    /// traced run *is* a complete fault-free run). `None` when tracing
-    /// is unavailable (no declared watch PCs) or the traced run's
-    /// outcome was not safe to memoize (wall-clock hang).
-    fn ensure_trace(&mut self, cache: &PrefixCache, input: &TestInput) -> Option<Arc<DefUseTrace>> {
-        let watch = cache.watch_pcs();
-        if watch.is_empty() {
-            return None;
-        }
-        if let Some(memo) = cache.trace(input) {
-            return memo;
-        }
-        self.machine.restore(&self.snapshot);
-        self.machine.set_input(input.to_tape());
-        self.machine
-            .set_deadline(self.watchdog.map(|d| Instant::now() + d));
-        let mut rec =
-            DefUseRecorder::new(self.machine.core(0), &self.code, &watch, input.to_tape());
-        let outcome = Self::machine_run(&mut self.machine, &mut self.telemetry, &mut rec);
-        let retired = self.machine.retired();
-        self.stats.retired_instrs += retired;
-        self.stats.prune_trace_runs += 1;
-        if let Some(t) = self.telemetry.as_mut() {
-            t.instant(
-                "trace_run",
-                vec![
-                    arg_u64("retired", retired),
-                    arg_u64("watched", watch.len() as u64),
-                ],
-            );
-        }
-        if !self.golden_memoizable(&outcome) {
-            // Nondeterministic (wall-clock) hang: memoize the failed
-            // attempt so the traced run is not retried for every fault.
-            cache.record_trace(input, None);
-            return None;
-        }
-        let trace = Arc::new(rec.finish(&outcome));
-        cache.record_golden(input, GoldenRun { outcome, retired });
-        for &wpc in watch.iter() {
-            cache.record_total(input, wpc, trace.total(wpc).unwrap_or(0));
-        }
-        cache.record_trace(input, Some(Arc::clone(&trace)));
-        Some(trace)
-    }
-
-    /// Retain a just-executed fired run as a collapse representative
-    /// when its complete corruption log proves exactly what it applied.
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_record_collapse(
-        &mut self,
-        cache: &PrefixCache,
-        input: &TestInput,
-        spec: &FaultSpec,
-        pc: u32,
-        occ: u64,
-        outcome: &RunOutcome,
-        fired: bool,
-    ) {
-        if !self.prune || !fired || !self.golden_memoizable(outcome) {
-            return;
-        }
-        let Some(log) = self.cached.as_ref().and_then(|c| c.injector.fire_log()) else {
-            return;
-        };
-        if !log.complete() {
-            return;
-        }
-        let class = CollapseClass {
-            log: Arc::new(log.clone()),
-            outcome: outcome.clone(),
-            fired,
-            retired: self.last_retired,
-        };
-        if cache.record_collapse(input, pc, occ, spec.target, spec.when, class) {
-            self.stats.prune_collapse_logged += 1;
-        }
-    }
-
-    /// The sampling oracle: re-run a deterministic, seed-keyed fraction
-    /// of pruned/collapsed answers in full and compare outcome, fired
-    /// flag and retired count against the prediction. The campaign-visible
-    /// result is always the prediction; a disagreement only increments
-    /// `prune_sample_mispredicts` (asserted zero by the perf-smoke
-    /// equivalence gate). Skipped under a wall-clock watchdog, whose
-    /// hangs are not reproducible.
-    #[allow(clippy::too_many_arguments)]
-    fn maybe_sample_check(
-        &mut self,
-        input: &TestInput,
-        specs: &[FaultSpec],
-        mode: TriggerMode,
-        seed: u64,
-        outcome: &RunOutcome,
-        fired: bool,
-        retired: u64,
-    ) {
-        if !self.prune || self.prune_sample_pct == 0 || self.watchdog.is_some() {
-            return;
-        }
-        if splitmix64(seed ^ SAMPLE_SALT) % 100 >= u64::from(self.prune_sample_pct) {
-            return;
-        }
-        self.stats.prune_sample_checks += 1;
-        let (got, got_fired, got_retired) = self.oracle_run(input, specs, mode, seed);
-        if got != *outcome || got_fired != fired || got_retired != retired {
-            self.stats.prune_sample_mispredicts += 1;
-            if let Some(t) = self.telemetry.as_mut() {
-                t.instant("prune_mispredict", vec![arg_u64("seed", seed)]);
-            }
-        }
-    }
-
-    /// A stats-neutral full execution of `(input, specs, seed)` — the
-    /// ground truth the sampling oracle compares against. Touches no run
-    /// counters; the machine is warm-rebooted by the next run as usual.
-    fn oracle_run(
-        &mut self,
-        input: &TestInput,
-        specs: &[FaultSpec],
-        mode: TriggerMode,
-        seed: u64,
-    ) -> (RunOutcome, bool, u64) {
-        self.ensure_injector(specs, mode, seed);
-        self.machine.restore(&self.snapshot);
-        self.machine.set_input(input.to_tape());
-        self.machine.set_deadline(None);
-        let cached = self.cached.as_mut().expect("cache populated above");
-        cached.injector.reset(seed);
-        cached
-            .injector
-            .prepare(&mut self.machine)
-            .expect("fault addresses lie in mapped memory");
-        let outcome =
-            Self::machine_run(&mut self.machine, &mut self.telemetry, &mut cached.injector);
-        let fired = cached.injector.any_fired();
-        (outcome, fired, self.machine.retired())
     }
 
     /// Run the injected suffix from the machine's current state (paused
@@ -1737,131 +1406,6 @@ mod tests {
         assert_eq!(sb.prefix_golden_hits, inputs.len() as u64);
         assert_eq!(sb.retired_instrs, 0, "memoized runs execute nothing");
         assert_eq!(sb.runs, inputs.len() as u64, "memoized runs still count");
-    }
-
-    #[test]
-    fn pruned_runs_match_full_runs_exactly() {
-        // The trace-guided pruning oracle at session granularity: every
-        // (fault, input) pair answered under pruning — dormancy proofs,
-        // collapse classes, the adaptive planner — must match a
-        // prune-free session bit for bit, with the 100% sampling oracle
-        // double-checking every pruned answer against a full run.
-        use swifi_core::fault::Trigger;
-        let target = program("JB.team6").unwrap();
-        let compiled = compile(target.source_correct).unwrap();
-        let set = generate_error_set(&compiled.debug, 4, 4, 13);
-        let faults: Vec<_> = set.assign_faults.iter().chain(&set.check_faults).collect();
-        let inputs = target.family.test_case(3, 17);
-
-        let mut full = RunSession::new(&compiled, target.family);
-        let mut pruned = RunSession::new(&compiled, target.family);
-        let cache = crate::prefix::PrefixCache::shared();
-        cache.set_watch_pcs(
-            faults
-                .iter()
-                .filter_map(|f| match f.spec.trigger {
-                    Trigger::OpcodeFetch(pc) => Some(pc),
-                    _ => None,
-                })
-                .collect(),
-        );
-        pruned.set_prefix_cache(Some(cache));
-        pruned.set_prune(true, 100);
-
-        for (fi, fault) in faults.iter().enumerate() {
-            for (i, input) in inputs.iter().enumerate() {
-                let seed = (fi as u64) << 8 | i as u64;
-                let want = full.run(input, Some(&fault.spec), seed);
-                let want_retired = full.last_retired();
-                for pass in ["first", "repeat"] {
-                    let got = pruned.run(input, Some(&fault.spec), seed);
-                    assert_eq!(got, want, "fault {fi} input {i} ({pass})");
-                    assert_eq!(
-                        pruned.last_retired(),
-                        want_retired,
-                        "fault {fi} input {i} ({pass}) retired count"
-                    );
-                }
-            }
-        }
-        let s = pruned.stats();
-        assert_eq!(s.prune_sample_mispredicts, 0, "{s:?}");
-        assert!(s.prune_sample_checks > 0, "pruning must prune: {s:?}");
-        assert!(
-            s.prune_trace_runs as u64 <= inputs.len() as u64,
-            "one traced run per input at most: {s:?}"
-        );
-        assert!(
-            s.prune_collapse_hits > 0,
-            "repeat passes must collapse onto the first executions: {s:?}"
-        );
-        assert_eq!(s.fired_runs + s.dormant_runs, s.injected_runs);
-        assert_eq!(s.runs, 2 * full.stats().runs);
-    }
-
-    #[test]
-    fn provable_dormancy_skips_identity_corruption() {
-        // An InstrBus corruption that reproduces the fetched word
-        // bit-exactly (xor 0) fires without any architectural effect:
-        // the planner proves it dormant from the def-use trace and the
-        // run is answered with the golden outcome, never executing.
-        use swifi_core::fault::{ErrorOp, FaultSpec, Firing, Target, Trigger};
-        let target = program("JB.team11").unwrap();
-        let compiled = compile(target.source_correct).unwrap();
-        let input = &target.family.test_case(1, 29)[0];
-        let site = generate_error_set(&compiled.debug, 1, 0, 29).assign_faults[0].site_addr;
-        let spec = FaultSpec {
-            what: ErrorOp::Xor(0),
-            target: Target::InstrBus,
-            trigger: Trigger::OpcodeFetch(site),
-            when: Firing::First,
-        };
-
-        let mut full = RunSession::new(&compiled, target.family);
-        let want = full.run(input, Some(&spec), 3);
-
-        let mut pruned = RunSession::new(&compiled, target.family);
-        let cache = crate::prefix::PrefixCache::shared();
-        cache.set_watch_pcs(vec![site]);
-        pruned.set_prefix_cache(Some(cache));
-        pruned.set_prune(true, 100);
-        let got = pruned.run(input, Some(&spec), 3);
-        assert_eq!(got, want);
-        let s = pruned.stats();
-        assert_eq!(s.prune_trace_runs, 1, "{s:?}");
-        assert_eq!(s.prune_dormant_skips, 1, "{s:?}");
-        assert_eq!(s.prune_sample_checks, 1, "100% sampling: {s:?}");
-        assert_eq!(s.prune_sample_mispredicts, 0, "{s:?}");
-        assert_eq!(s.runs, 1, "the traced clean run is not a campaign run");
-        assert_eq!(pruned.last_retired(), full.last_retired());
-    }
-
-    #[test]
-    fn prune_without_watch_pcs_is_inert() {
-        // Enabling pruning without declared trigger PCs must change
-        // nothing: no traced runs, no skips, identical outcomes.
-        let target = program("JB.team11").unwrap();
-        let compiled = compile(target.source_correct).unwrap();
-        let set = generate_error_set(&compiled.debug, 2, 2, 7);
-        let inputs = target.family.test_case(2, 9);
-        let mut plain = RunSession::new(&compiled, target.family);
-        plain.set_prefix_cache(Some(crate::prefix::PrefixCache::shared()));
-        let mut pruned = RunSession::new(&compiled, target.family);
-        pruned.set_prefix_cache(Some(crate::prefix::PrefixCache::shared()));
-        pruned.set_prune(true, 100);
-        for fault in set.assign_faults.iter().chain(&set.check_faults) {
-            for (i, input) in inputs.iter().enumerate() {
-                let seed = 31 + i as u64;
-                assert_eq!(
-                    pruned.run(input, Some(&fault.spec), seed),
-                    plain.run(input, Some(&fault.spec), seed)
-                );
-            }
-        }
-        let s = pruned.stats();
-        assert_eq!(s.prune_trace_runs, 0);
-        assert_eq!(s.prune_dormant_skips, 0);
-        assert_eq!(s.prune_sample_checks, 0);
     }
 
     #[test]

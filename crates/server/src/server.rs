@@ -7,7 +7,7 @@
 //! the loop stops accepting and joins every in-flight campaign before
 //! returning.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
 
@@ -64,16 +64,28 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
     Ok(())
 }
 
+/// Longest request line the server reads, newline included. A request
+/// is one small JSON object (a few hundred bytes); the cap bounds what a
+/// single client can make the server buffer. A longer line is answered
+/// with an `error` event and the connection is closed.
+pub const MAX_REQUEST_LINE: u64 = 64 * 1024;
+
 fn read_request(stream: &TcpStream) -> Result<Request, String> {
     let mut reader = BufReader::new(
         stream
             .try_clone()
             .map_err(|e| format!("cannot clone connection: {e}"))?,
-    );
-    let mut line = String::new();
+    )
+    .take(MAX_REQUEST_LINE);
+    let mut line = Vec::new();
     reader
-        .read_line(&mut line)
+        .read_until(b'\n', &mut line)
         .map_err(|e| format!("cannot read request: {e}"))?;
+    if !line.ends_with(b"\n") && line.len() as u64 == MAX_REQUEST_LINE {
+        return Err(format!("request line longer than {MAX_REQUEST_LINE} bytes"));
+    }
+    // A line cut short by the peer closing is parsed as it stands.
+    let line = String::from_utf8(line).map_err(|_| "request line is not UTF-8".to_string())?;
     if line.trim().is_empty() {
         return Err("empty request".to_string());
     }

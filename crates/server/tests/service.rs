@@ -120,6 +120,68 @@ fn malformed_request_lines_get_a_diagnosis() {
     stop_server(&addr, handle, &workdir);
 }
 
+/// Send `bytes` on a fresh connection, close the sending half, and
+/// return the one event line the server answers with. The bytes go out
+/// on their own thread: the server stops reading at its line cap, so a
+/// long write may block or fail once it has answered.
+fn raw_exchange(addr: &str, bytes: Vec<u8>) -> Event {
+    use std::io::{BufRead, BufReader, Write};
+    let stream = TcpStream::connect(addr).unwrap();
+    let mut tx = stream.try_clone().unwrap();
+    let writer = std::thread::spawn(move || {
+        let _ = tx.write_all(&bytes);
+        let _ = tx.shutdown(std::net::Shutdown::Write);
+    });
+    let mut line = String::new();
+    BufReader::new(stream).read_line(&mut line).unwrap();
+    writer.join().unwrap();
+    Event::parse(&line).unwrap()
+}
+
+#[test]
+fn oversized_request_line_is_refused_with_an_error() {
+    use swifi_server::server::MAX_REQUEST_LINE;
+    let (addr, handle, workdir) = start_server("oversized");
+    // Four times the cap, no newline anywhere: the server must answer
+    // after reading at most the cap instead of buffering the whole line.
+    let event = raw_exchange(&addr, vec![b'x'; 4 * MAX_REQUEST_LINE as usize]);
+    match event {
+        Event::Error { message } => assert!(message.contains("longer than"), "{message}"),
+        other => panic!("expected error event, got {other:?}"),
+    }
+    // A line of exactly the cap, newline included, is still read whole.
+    let ping = b"{\"type\":\"ping\"}";
+    let mut padded = vec![b' '; MAX_REQUEST_LINE as usize - ping.len() - 1];
+    padded.extend_from_slice(ping);
+    padded.push(b'\n');
+    assert_eq!(raw_exchange(&addr, padded), Event::Pong);
+    // The server keeps serving after refusing a line.
+    let mut events = Vec::new();
+    request(&addr, &Request::Ping, |e| events.push(e.clone())).unwrap();
+    assert_eq!(events, vec![Event::Pong]);
+    stop_server(&addr, handle, &workdir);
+}
+
+#[test]
+fn request_closed_without_a_newline_is_parsed_as_sent() {
+    let (addr, handle, workdir) = start_server("nonewline");
+    // A complete request cut off by the peer closing still counts.
+    assert_eq!(
+        raw_exchange(&addr, b"{\"type\":\"ping\"}".to_vec()),
+        Event::Pong
+    );
+    // A truncated one gets a diagnosis, not a hang.
+    match raw_exchange(&addr, b"{\"type\":\"sub".to_vec()) {
+        Event::Error { message } => assert!(message.contains("bad request line"), "{message}"),
+        other => panic!("expected error event, got {other:?}"),
+    }
+    match raw_exchange(&addr, Vec::new()) {
+        Event::Error { message } => assert!(message.contains("empty request"), "{message}"),
+        other => panic!("expected error event, got {other:?}"),
+    }
+    stop_server(&addr, handle, &workdir);
+}
+
 #[test]
 fn sharded_class_campaign_reports_byte_identically() {
     let direct = class_campaign_with(

@@ -162,11 +162,6 @@ pub const EVENT_NAMES: &[&str] = &[
     "fork_veto",
     "dormant_short_circuit",
     "golden_hit",
-    // Trace-guided pruning instants.
-    "trace_run",
-    "prune_dormant",
-    "collapse_hit",
-    "prune_mispredict",
     // Block-translation instants.
     "block_translate",
     "block_invalidate",

@@ -249,3 +249,43 @@ fn faulty_programs_pass_a_weak_acceptance_test() {
         }
     }
 }
+
+/// Work conservation: every guest instruction of a default §6 campaign
+/// is either executed or skipped by the prefix cache, and together they
+/// add up to exactly the instructions of the same campaign with every
+/// execution layer off. An extra execution no (fault, input) pair asked
+/// for, such as a hidden traced or validation run, breaks the equality.
+#[test]
+fn default_campaigns_execute_no_hidden_work() {
+    use swifi_campaign::section6::class_campaign_with;
+    use swifi_campaign::CampaignOptions;
+    let scale = CampaignScale {
+        inputs_per_fault: 3,
+    };
+    let plain = CampaignOptions {
+        no_prefix_fork: true,
+        no_block_cache: true,
+        ..CampaignOptions::default()
+    };
+    for name in ["JB.team6", "JB.team11"] {
+        let target = program(name).unwrap();
+        for seed in [7, 2024] {
+            let full = class_campaign_with(&target, scale, seed, &plain)
+                .unwrap()
+                .throughput;
+            let layered = class_campaign_with(&target, scale, seed, &CampaignOptions::default())
+                .unwrap()
+                .throughput;
+            assert_eq!(full.prefix_instrs_skipped, 0, "{name} seed {seed}");
+            assert!(
+                layered.prefix_instrs_skipped > 0,
+                "{name} seed {seed}: the prefix cache answered nothing"
+            );
+            assert_eq!(
+                layered.retired_instrs + layered.prefix_instrs_skipped,
+                full.retired_instrs,
+                "{name} seed {seed}: executed + skipped must equal the layer-free campaign"
+            );
+        }
+    }
+}
