@@ -1,15 +1,14 @@
-//! # swifi-bench — reproduction and performance benches
+//! # swifi-bench — the paper's reproduction harness
 //!
-//! Two bench targets:
+//! One bench target, `repro` (custom harness), regenerates **every table
+//! and figure** of the reproduced paper. Run all of it with
+//! `cargo bench -p swifi-bench --bench repro`, or one artefact with e.g.
+//! `cargo bench -p swifi-bench --bench repro -- fig7`. Set `REPRO_FULL=1`
+//! for the paper's full scale (300 inputs per fault, >100 000 runs).
+//! Results are also dumped as JSON under `target/repro/`.
 //!
-//! - `repro` (custom harness): regenerates **every table and figure** of
-//!   the reproduced paper. Run all of it with
-//!   `cargo bench -p swifi-bench --bench repro`, or one artefact with e.g.
-//!   `cargo bench -p swifi-bench --bench repro -- fig7`. Set `REPRO_FULL=1`
-//!   for the paper's full scale (300 inputs per fault, >100 000 runs).
-//!   Results are also dumped as JSON under `target/repro/`.
-//! - `perf` (criterion): microbenchmarks of the VM interpreter, compiler,
-//!   injector overhead, and campaign throughput.
+//! Performance is measured elsewhere: `perfbench/` times cold, end-to-end
+//! campaign passes and attributes their cost per engine layer.
 
 #![warn(missing_docs)]
 

@@ -4,7 +4,7 @@
 use crate::engine::PhaseTime;
 use crate::runner::{FailureMode, ModeCounts};
 use crate::section6::ProgramCampaign;
-use crate::session::Throughput;
+use crate::session::{SessionStats, Throughput};
 use crate::source::SourceCampaign;
 
 /// Render an aligned text table.
@@ -83,18 +83,18 @@ pub const MODE_HEADERS: [&str; 4] = ["Correct", "Incorrect", "Hang", "Crash"];
 pub fn throughput_line(tp: &Throughput) -> String {
     format!(
         "{} runs in {:.1}s ({:.1} runs/s, {:.1} Minstr/s), {} fired / {} dormant",
-        tp.runs,
+        tp.stats.runs,
         tp.elapsed_secs,
         tp.runs_per_sec(),
         tp.instrs_per_sec() / 1e6,
-        tp.fired_runs,
-        tp.dormant_runs
+        tp.stats.fired_runs,
+        tp.stats.dormant_runs
     )
 }
 
 /// One-line summary of the sessions' decode-cache behaviour, e.g.
 /// `icache: 1204 lines built, 96 invalidated, 812 slow fetches (0.01% of 9.1M instrs)`.
-pub fn decode_cache_line(tp: &Throughput) -> String {
+pub fn decode_cache_line(tp: &SessionStats) -> String {
     let slow_pct = if tp.retired_instrs > 0 {
         tp.slow_fetches as f64 * 100.0 / tp.retired_instrs as f64
     } else {
@@ -113,7 +113,7 @@ pub fn decode_cache_line(tp: &Throughput) -> String {
 /// One-line summary of the prefix-fork cache, e.g.
 /// `prefix-fork: 40 snapshots, 3960 fork hits, 120 dormant short-circuits,
 /// 6 golden hits, 14 shallow skips, 12.3M instrs skipped (57.4% of total)`.
-pub fn prefix_fork_line(tp: &Throughput) -> String {
+pub fn prefix_fork_line(tp: &SessionStats) -> String {
     let total = tp.retired_instrs + tp.prefix_instrs_skipped;
     let skipped_pct = if total > 0 {
         tp.prefix_instrs_skipped as f64 * 100.0 / total as f64
@@ -135,7 +135,7 @@ pub fn prefix_fork_line(tp: &Throughput) -> String {
 /// One-line summary of the block-translation layer, e.g.
 /// `blocks: 412 built, 9120 hits, 1820 fallback dispatches, 12
 /// invalidated, 78.4% of instrs in blocks`.
-pub fn block_cache_line(tp: &Throughput) -> String {
+pub fn block_cache_line(tp: &SessionStats) -> String {
     let block_pct = if tp.retired_instrs > 0 {
         tp.block_instrs as f64 * 100.0 / tp.retired_instrs as f64
     } else {
@@ -189,11 +189,11 @@ pub fn class_campaign_report(c: &ProgramCampaign) -> String {
         c.total_runs, c.dormant_runs
     ));
     out.push_str(&format!("throughput: {}\n", throughput_line(&c.throughput)));
-    out.push_str(&decode_cache_line(&c.throughput));
+    out.push_str(&decode_cache_line(&c.throughput.stats));
     out.push('\n');
-    out.push_str(&block_cache_line(&c.throughput));
+    out.push_str(&block_cache_line(&c.throughput.stats));
     out.push('\n');
-    out.push_str(&prefix_fork_line(&c.throughput));
+    out.push_str(&prefix_fork_line(&c.throughput.stats));
     out.push('\n');
     let phases = phase_times_line(&c.phase_times);
     if !phases.is_empty() {
@@ -229,9 +229,9 @@ pub fn source_campaign_report(c: &SourceCampaign) -> String {
         c.total_runs, c.dormant_runs
     ));
     out.push_str(&format!("throughput: {}\n", throughput_line(&c.throughput)));
-    out.push_str(&decode_cache_line(&c.throughput));
+    out.push_str(&decode_cache_line(&c.throughput.stats));
     out.push('\n');
-    out.push_str(&block_cache_line(&c.throughput));
+    out.push_str(&block_cache_line(&c.throughput.stats));
     out.push('\n');
     let phases = phase_times_line(&c.phase_times);
     if !phases.is_empty() {
@@ -288,18 +288,18 @@ mod tests {
         // figures, not NaN% (division by zero runs or zero instructions).
         for line in [
             throughput_line(&Throughput::default()),
-            decode_cache_line(&Throughput::default()),
-            prefix_fork_line(&Throughput::default()),
-            block_cache_line(&Throughput::default()),
+            decode_cache_line(&SessionStats::default()),
+            prefix_fork_line(&SessionStats::default()),
+            block_cache_line(&SessionStats::default()),
         ] {
             assert!(!line.contains("NaN"), "{line}");
             assert!(!line.contains("inf"), "{line}");
         }
         // Slow fetches with zero retired instructions (clean-only region
         // measured on a reference-mode session): still no NaN.
-        let odd = Throughput {
+        let odd = SessionStats {
             slow_fetches: 5,
-            ..Throughput::default()
+            ..SessionStats::default()
         };
         assert!(!decode_cache_line(&odd).contains("NaN"));
         // And the percentage helper itself guards the empty distribution.
@@ -320,12 +320,14 @@ mod tests {
     #[test]
     fn throughput_line_reports_rate() {
         let tp = Throughput {
-            runs: 100,
-            fired_runs: 90,
-            dormant_runs: 10,
+            stats: SessionStats {
+                runs: 100,
+                fired_runs: 90,
+                dormant_runs: 10,
+                retired_instrs: 8_000_000,
+                ..SessionStats::default()
+            },
             elapsed_secs: 2.0,
-            retired_instrs: 8_000_000,
-            ..Throughput::default()
         };
         let line = throughput_line(&tp);
         assert!(line.contains("100 runs"), "{line}");
@@ -336,12 +338,12 @@ mod tests {
 
     #[test]
     fn decode_cache_line_reports_slow_fraction() {
-        let tp = Throughput {
+        let tp = SessionStats {
             retired_instrs: 2_000_000,
             decode_lines_built: 1204,
             decode_invalidations: 96,
             slow_fetches: 20_000,
-            ..Throughput::default()
+            ..SessionStats::default()
         };
         let line = decode_cache_line(&tp);
         assert!(line.contains("1204 lines built"), "{line}");
@@ -350,20 +352,20 @@ mod tests {
         assert!(line.contains("(1.00% of 2.0M instrs)"), "{line}");
 
         // Degenerate case: no instructions measured.
-        let empty = decode_cache_line(&Throughput::default());
+        let empty = decode_cache_line(&SessionStats::default());
         assert!(empty.contains("0.00%"), "{empty}");
     }
 
     #[test]
     fn prefix_fork_line_reports_skipped_share() {
-        let tp = Throughput {
+        let tp = SessionStats {
             retired_instrs: 1_000_000,
             prefix_snapshots_built: 40,
             prefix_fork_hits: 3960,
             prefix_instrs_skipped: 3_000_000,
             prefix_dormant_short_circuits: 120,
             prefix_golden_hits: 6,
-            ..Throughput::default()
+            ..SessionStats::default()
         };
         let line = prefix_fork_line(&tp);
         assert!(line.contains("40 snapshots"), "{line}");
@@ -378,14 +380,14 @@ mod tests {
 
     #[test]
     fn block_cache_line_reports_block_share() {
-        let tp = Throughput {
+        let tp = SessionStats {
             retired_instrs: 2_000_000,
             blocks_built: 412,
             block_hits: 9120,
             block_instrs: 1_500_000,
             block_fallbacks: 1820,
             block_invalidations: 12,
-            ..Throughput::default()
+            ..SessionStats::default()
         };
         let line = block_cache_line(&tp);
         assert!(line.contains("412 built"), "{line}");

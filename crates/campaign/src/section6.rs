@@ -101,10 +101,10 @@ pub struct ProgramCampaign {
     pub dormant_runs: u64,
     /// Total injected-fault runs.
     pub total_runs: u64,
-    /// Run-engine throughput for the whole campaign (equality ignores
-    /// wall-clock; see [`Throughput`]). Run counts are folded from the
-    /// per-fault records, so a resumed campaign reports the same totals
-    /// as an uninterrupted one.
+    /// Run-engine throughput of the runs this process executed (a resume
+    /// counts only the faults it re-ran; equality ignores it, see
+    /// [`Throughput`]). The campaign's run totals are `total_runs` and
+    /// `dormant_runs`, folded from the per-fault records.
     pub throughput: Throughput,
     /// Per-phase wall clock (equality ignores the elapsed component; see
     /// [`PhaseTime`]).
@@ -145,8 +145,7 @@ pub fn class_campaign(target: &TargetProgram, scale: CampaignScale, seed: u64) -
 /// [`CampaignOptions::checkpoint`] set, every completed fault appends to
 /// the JSONL checkpoint as it finishes, and with `resume` the recorded
 /// faults replay from disk instead of re-running — the resumed campaign
-/// compares equal (per the seed-determinism [`Throughput`]/report
-/// equality) to an uninterrupted one.
+/// compares equal to an uninterrupted one.
 ///
 /// # Errors
 ///
@@ -259,20 +258,11 @@ pub fn class_campaign_with(
     drop(run_batch);
     let phase_times = engine.take_phase_times();
 
-    // Fold the run totals from the records, not the live sessions: on
-    // resume the replayed faults never touch a session, and the totals
-    // must not depend on where the previous process died. Wall-clock and
-    // interpreter counters (ignored by `Throughput` equality) still come
-    // from the sessions that actually ran.
-    let mut throughput = Throughput::collect(&sessions, t0.elapsed());
-    throughput.runs = 0;
-    throughput.fired_runs = 0;
-    throughput.dormant_runs = 0;
-    for (_, counts, dormant) in assign_results.iter().chain(&check_results) {
-        throughput.runs += counts.total();
-        throughput.fired_runs += counts.total() - dormant;
-        throughput.dormant_runs += dormant;
-    }
+    // The run totals below fold from the records, not the live sessions:
+    // on resume the replayed faults never touch a session, and the totals
+    // must not depend on where the previous process died. Throughput
+    // counts what the sessions of this process actually ran.
+    let throughput = Throughput::collect(&sessions, t0.elapsed());
 
     let mut out = ProgramCampaign {
         program: target.name.to_string(),

@@ -232,8 +232,9 @@ pub struct SourceCampaign {
     pub dormant_runs: u64,
     /// Total mutant runs.
     pub total_runs: u64,
-    /// Run-engine throughput (run counts folded from the records, so a
-    /// resumed campaign reports the same totals as an uninterrupted one).
+    /// Run-engine throughput of the runs this process executed (equality
+    /// ignores it, see [`Throughput`]); the run totals are `total_runs`
+    /// and `dormant_runs`, folded from the records.
     pub throughput: Throughput,
     /// Per-phase wall clock (equality ignores the elapsed component).
     pub phase_times: Vec<PhaseTime>,
@@ -377,7 +378,13 @@ pub fn source_campaign_with(
                 t.counter_add("fired_runs", activated);
                 t.counter_add("dormant_runs", counts.total() - activated);
             }
-            state.0.merge(&session.stats());
+            // A mutant run "fires" when it diverges from the fault-free
+            // run: the source analogue of an injected fault firing.
+            state.0.merge(&SessionStats {
+                fired_runs: activated,
+                dormant_runs: counts.total() - activated,
+                ..session.stats()
+            });
             (counts, activated)
         },
         |i, plan| format!("mutant #{i}: {} ({})", plan.id, plan.group),
@@ -386,31 +393,16 @@ pub fn source_campaign_with(
 
     let (ok, abnormal) = split_records(records);
 
-    // Fold engine counters from the workers that actually ran, then
-    // refold the run totals from the records (resume-safe, like §6).
-    let mut stats = SessionStats::default();
+    // Throughput counts the workers that actually ran; the run totals
+    // below fold from the records (resume-safe, like §6).
+    let mut stats = ref_session.stats();
     for (s, _) in &states {
         stats.merge(s);
     }
-    stats.merge(&ref_session.stats());
-    let mut throughput = Throughput {
+    let throughput = Throughput {
+        stats,
         elapsed_secs: t0.elapsed().as_secs_f64(),
-        retired_instrs: stats.retired_instrs,
-        decode_lines_built: stats.decode_lines_built,
-        decode_invalidations: stats.decode_invalidations,
-        slow_fetches: stats.slow_fetches,
-        blocks_built: stats.blocks_built,
-        block_hits: stats.block_hits,
-        block_instrs: stats.block_instrs,
-        block_fallbacks: stats.block_fallbacks,
-        block_invalidations: stats.block_invalidations,
-        ..Throughput::default()
     };
-    for (_, (counts, activated)) in &ok {
-        throughput.runs += counts.total();
-        throughput.fired_runs += activated;
-        throughput.dormant_runs += counts.total() - activated;
-    }
 
     let mut out = SourceCampaign {
         program: target.name.to_string(),
@@ -539,12 +531,12 @@ mod tests {
         assert_eq!(by_ty, c.total_runs);
         // Mutants hit: not every run can stay correct.
         assert!(c.modes.correct < c.modes.total());
-        assert_eq!(c.throughput.runs, c.total_runs);
-        assert_eq!(
-            c.throughput.fired_runs + c.throughput.dormant_runs,
-            c.total_runs
-        );
-        assert_eq!(c.throughput.dormant_runs, c.dormant_runs);
+        // A fresh campaign executes every mutant run plus one reference
+        // run per input.
+        let tp = c.throughput.stats;
+        assert_eq!(tp.runs, c.total_runs + 3);
+        assert_eq!(tp.fired_runs + tp.dormant_runs, c.total_runs);
+        assert_eq!(tp.dormant_runs, c.dormant_runs);
         assert!(c.abnormal.is_empty());
     }
 

@@ -1,7 +1,5 @@
 //! Tiny dependency-free argument parsing for the `swifi` CLI.
 
-use std::collections::HashMap;
-
 /// Parsed command line: a subcommand, positional operands, and
 /// `--key value` / `--flag` options.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -10,8 +8,9 @@ pub struct ParsedArgs {
     pub command: String,
     /// Positional operands after the subcommand.
     pub positional: Vec<String>,
-    /// `--key value` options; bare `--flag`s map to an empty string.
-    pub options: HashMap<String, Vec<String>>,
+    /// `--key value` options in command-line order; bare `--flag`s have
+    /// an empty value.
+    pub options: Vec<(String, String)>,
 }
 
 impl ParsedArgs {
@@ -35,7 +34,7 @@ impl ParsedArgs {
                     // the flag instead of parsing the empty string.
                     String::new()
                 };
-                out.options.entry(key.to_string()).or_default().push(value);
+                out.options.push((key.to_string(), value));
             } else if out.command.is_empty() {
                 out.command = a;
             } else {
@@ -48,22 +47,45 @@ impl ParsedArgs {
     /// Last value of an option, if present.
     pub fn opt(&self, key: &str) -> Option<&str> {
         self.options
-            .get(key)
-            .and_then(|v| v.last())
-            .map(String::as_str)
+            .iter()
+            .rev()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 
     /// Whether a bare flag (or option) was given.
     pub fn flag(&self, key: &str) -> bool {
-        self.options.contains_key(key)
+        self.options.iter().any(|(k, _)| k == key)
     }
 
     /// All values of a repeatable option.
     pub fn all(&self, key: &str) -> Vec<&str> {
         self.options
-            .get(key)
-            .map(|v| v.iter().map(String::as_str).collect())
-            .unwrap_or_default()
+            .iter()
+            .filter(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
+            .collect()
+    }
+
+    /// Check the options against `known`, the groups of flags the command
+    /// reads.
+    ///
+    /// # Errors
+    ///
+    /// Returns a usage error naming the first option, in command-line
+    /// order, that no group lists.
+    pub fn only(&self, known: &[&[&str]]) -> Result<(), String> {
+        match self
+            .options
+            .iter()
+            .find(|(k, _)| !known.iter().any(|group| group.contains(&k.as_str())))
+        {
+            None => Ok(()),
+            Some((k, _)) => Err(format!(
+                "unknown flag `--{k}` for `swifi {}` (see `swifi help`)",
+                self.command
+            )),
+        }
     }
 
     /// Last value of an option, as a usage error when the option was given

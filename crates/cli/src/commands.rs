@@ -6,7 +6,7 @@ use swifi_campaign::compare::{compare_representations_with, comparison_table};
 use swifi_campaign::report::{class_campaign_report, render_table, source_campaign_report};
 use swifi_campaign::section6::{class_campaign_with, CampaignScale};
 use swifi_campaign::source::{source_campaign_with, SourceScale};
-use swifi_campaign::{CampaignOptions, Throughput};
+use swifi_campaign::{CampaignOptions, SessionStats};
 use swifi_core::emulate::{plan_emulation, EmulationVerdict};
 use swifi_core::injector::{Injector, TriggerMode};
 use swifi_core::locations::generate_error_set;
@@ -102,6 +102,9 @@ fn read_source(parsed: &ParsedArgs) -> Result<(String, String), String> {
     Ok((path.clone(), src))
 }
 
+/// Flags read by [`input_from_args`].
+const INPUT_FLAGS: &[&str] = &["int", "line"];
+
 fn input_from_args(parsed: &ParsedArgs) -> Result<InputTape, String> {
     let mut tape = InputTape::new();
     for v in parsed.all("int") {
@@ -117,7 +120,8 @@ fn input_from_args(parsed: &ParsedArgs) -> Result<InputTape, String> {
 }
 
 /// `swifi list`
-pub fn list() -> CmdResult {
+pub fn list(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[])?;
     let rows: Vec<Vec<String>> = all_programs()
         .iter()
         .map(|p| {
@@ -150,6 +154,7 @@ pub fn list() -> CmdResult {
 
 /// `swifi compile FILE [--asm] [--sites]`
 pub fn compile_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[&["asm", "sites"]])?;
     let (path, src) = read_source(parsed)?;
     let p = compile(&src).map_err(|e| format!("{path}: {e}"))?;
     println!(
@@ -198,6 +203,7 @@ fn print_sites(p: &swifi_lang::Program) {
 
 /// `swifi run FILE [--int N]... [--line S] [--cores N]`
 pub fn run_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[&["cores"], INPUT_FLAGS])?;
     let (path, src) = read_source(parsed)?;
     let p = compile(&src).map_err(|e| format!("{path}: {e}"))?;
     let cores = parsed.int_opt("cores", 1)? as usize;
@@ -235,6 +241,7 @@ fn report_outcome(out: RunOutcome) {
 
 /// `swifi sites FILE`
 pub fn sites(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[])?;
     let (path, src) = read_source(parsed)?;
     let p = compile(&src).map_err(|e| format!("{path}: {e}"))?;
     print_sites(&p);
@@ -243,6 +250,7 @@ pub fn sites(parsed: &ParsedArgs) -> CmdResult {
 
 /// `swifi inject FILE --fault N [--int N]... [--line S] [--seed N]`
 pub fn inject(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[&["seed", "fault"], INPUT_FLAGS])?;
     let (path, src) = read_source(parsed)?;
     let p = compile(&src).map_err(|e| format!("{path}: {e}"))?;
     let seed = parsed.int_opt("seed", 42)? as u64;
@@ -291,6 +299,7 @@ pub fn inject(parsed: &ParsedArgs) -> CmdResult {
 
 /// `swifi emulate NAME`
 pub fn emulate(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[])?;
     let name = parsed
         .positional
         .first()
@@ -343,6 +352,17 @@ pub fn emulate(parsed: &ParsedArgs) -> CmdResult {
     Ok(())
 }
 
+/// Flags read by [`campaign_opts`].
+const CAMPAIGN_FLAGS: &[&str] = &[
+    "checkpoint",
+    "resume",
+    "no-prefix-fork",
+    "no-block-cache",
+    "watchdog-ms",
+    "watchdog-poll",
+    "chaos-panic",
+];
+
 /// Parse the robustness options shared by every campaign-style command
 /// (`--checkpoint/--resume`, `--watchdog-ms`, `--watchdog-poll`,
 /// `--chaos-panic`, `--no-prefix-fork`, `--no-block-cache`).
@@ -379,6 +399,15 @@ struct TelemetrySink {
     profile_out: Option<String>,
 }
 
+/// Flags read by [`telemetry_opts`].
+const TELEMETRY_FLAGS: &[&str] = &[
+    "trace-out",
+    "metrics-out",
+    "profile",
+    "profile-out",
+    "profile-every",
+];
+
 /// Parse `--trace-out F`, `--metrics-out F`, `--profile`,
 /// `--profile-out F`, `--profile-every N`.
 fn telemetry_opts(parsed: &ParsedArgs) -> Result<TelemetrySink, String> {
@@ -409,7 +438,7 @@ fn telemetry_opts(parsed: &ParsedArgs) -> Result<TelemetrySink, String> {
 fn export_telemetry(
     sink: &TelemetrySink,
     target: &swifi_programs::TargetProgram,
-    tp: &Throughput,
+    tp: &SessionStats,
 ) -> CmdResult {
     let Some(hub) = sink.hub.as_ref() else {
         return Ok(());
@@ -477,6 +506,7 @@ fn export_telemetry(
 
 /// `swifi trace-validate FILE`
 pub fn trace_validate_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[])?;
     let path = parsed
         .positional
         .first()
@@ -493,6 +523,7 @@ pub fn trace_validate_cmd(parsed: &ParsedArgs) -> CmdResult {
 /// `swifi campaign NAME [--inputs N] [--seed N] [--checkpoint F [--resume]]
 /// [--watchdog-ms N] [--chaos-panic N] [--no-prefix-fork] [--no-block-cache]`
 pub fn campaign(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[&["inputs", "seed"], CAMPAIGN_FLAGS, TELEMETRY_FLAGS])?;
     let name = parsed
         .positional
         .first()
@@ -516,7 +547,7 @@ pub fn campaign(parsed: &ParsedArgs) -> CmdResult {
     // The server's `submit` reply renders through the same function, so
     // sharded and single-process reports stay byte-comparable.
     print!("{}", class_campaign_report(&c));
-    export_telemetry(&sink, &target, &c.throughput)?;
+    export_telemetry(&sink, &target, &c.throughput.stats)?;
     Ok(())
 }
 
@@ -525,6 +556,7 @@ pub fn campaign(parsed: &ParsedArgs) -> CmdResult {
 /// Lists the G-SWFIT mutant catalogue of a program; `--op` filters to one
 /// operator, `--source N` prints the N-th mutant's full source.
 pub fn mutants_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[&["op", "source"]])?;
     let (path, src) = read_source(parsed)?;
     let p = compile(&src).map_err(|e| format!("{path}: {e}"))?;
     let all = match parsed.value_opt("op")? {
@@ -560,6 +592,11 @@ pub fn mutants_cmd(parsed: &ParsedArgs) -> CmdResult {
 /// `swifi source-campaign NAME [--mutants N] [--inputs N] [--seed N]
 /// [--checkpoint F [--resume]] [--watchdog-ms N] [--chaos-panic N]`
 pub fn source_campaign_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[
+        &["mutants", "inputs", "seed"],
+        CAMPAIGN_FLAGS,
+        TELEMETRY_FLAGS,
+    ])?;
     let name = parsed
         .positional
         .first()
@@ -580,13 +617,14 @@ pub fn source_campaign_cmd(parsed: &ParsedArgs) -> CmdResult {
     );
     let c = source_campaign_with(&target, scale, seed, &opts)?;
     print!("{}", source_campaign_report(&c));
-    export_telemetry(&sink, &target, &c.throughput)?;
+    export_telemetry(&sink, &target, &c.throughput.stats)?;
     Ok(())
 }
 
 /// `swifi compare-representations [--inputs N] [--mutants N] [--seed N]
 /// [--checkpoint F [--resume]] [--watchdog-ms N]`
 pub fn compare_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[&["inputs", "mutants", "seed"], CAMPAIGN_FLAGS])?;
     let binary_scale = CampaignScale {
         inputs_per_fault: parsed.int_opt("inputs", 6)?.max(1) as usize,
     };
@@ -607,6 +645,7 @@ pub fn compare_cmd(parsed: &ParsedArgs) -> CmdResult {
 
 /// `swifi metrics FILE|NAME`
 pub fn metrics_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[])?;
     let (path, src) = read_source(parsed)?;
     let ast = swifi_lang::parser::parse(&src).map_err(|e| format!("{path}: {e}"))?;
     let m = swifi_metrics::measure(&src, &ast);
@@ -647,6 +686,19 @@ pub fn metrics_cmd(parsed: &ParsedArgs) -> CmdResult {
     Ok(())
 }
 
+/// Flags read by [`campaign_request`].
+const REQUEST_FLAGS: &[&str] = &[
+    "source",
+    "driver",
+    "seed",
+    "inputs",
+    "mutants",
+    "shards",
+    "pool",
+    "trace-out",
+    "metrics-out",
+];
+
 /// Parse the shared submit/shard-exec campaign description flags into a
 /// server [`CampaignRequest`].
 fn campaign_request(parsed: &ParsedArgs, target: &str) -> Result<CampaignRequest, String> {
@@ -669,6 +721,7 @@ fn campaign_request(parsed: &ParsedArgs, target: &str) -> Result<CampaignRequest
 
 /// `swifi serve [--addr A] [--workdir D] [--in-process]`
 pub fn serve_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[&["addr", "workdir", "in-process"]])?;
     let addr = parsed.value_opt("addr")?.unwrap_or("127.0.0.1:0");
     let listener =
         std::net::TcpListener::bind(addr).map_err(|e| format!("cannot bind {addr}: {e}"))?;
@@ -701,6 +754,7 @@ pub fn serve_cmd(parsed: &ParsedArgs) -> CmdResult {
 /// stdout, so `swifi submit ... > report.txt` composes with the same
 /// tooling as the local commands.
 pub fn submit_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[&["addr", "ping", "shutdown"], REQUEST_FLAGS])?;
     let addr = parsed
         .value_opt("addr")?
         .ok_or("--addr HOST:PORT is required (printed by `swifi serve`)")?;
@@ -779,6 +833,7 @@ pub fn submit_cmd(parsed: &ParsedArgs) -> CmdResult {
 /// point; `swifi serve` re-executes its own binary with these flags,
 /// one process per shard.
 pub fn shard_exec_cmd(parsed: &ParsedArgs) -> CmdResult {
+    parsed.only(&[&["target", "shard", "checkpoint"], REQUEST_FLAGS])?;
     let target = parsed
         .value_opt("target")?
         .ok_or("--target NAME is required")?
@@ -813,7 +868,26 @@ mod tests {
 
     #[test]
     fn list_succeeds() {
-        assert!(list().is_ok());
+        assert!(list(&ParsedArgs::parse(["list".into()])).is_ok());
+    }
+
+    #[test]
+    fn unknown_flags_are_usage_errors() {
+        // `--no-prune` was removed with the pruning layer; passing it must
+        // not quietly run the default campaign.
+        let parsed = ParsedArgs::parse([
+            "campaign".into(),
+            "JB.team6".into(),
+            "--inputs".into(),
+            "1".into(),
+            "--no-prune".into(),
+            "--bogus".into(),
+        ]);
+        let err = campaign(&parsed).unwrap_err();
+        assert_eq!(
+            err,
+            "unknown flag `--no-prune` for `swifi campaign` (see `swifi help`)"
+        );
     }
 
     #[test]

@@ -25,7 +25,7 @@ use args::ParsedArgs;
 fn main() {
     let parsed = ParsedArgs::parse(std::env::args().skip(1));
     let result = match parsed.command.as_str() {
-        "list" => commands::list(),
+        "list" => commands::list(&parsed),
         "compile" => commands::compile_cmd(&parsed),
         "run" => commands::run_cmd(&parsed),
         "sites" => commands::sites(&parsed),

@@ -5,11 +5,14 @@
 //! campaign does not block further submissions (or the shutdown probe
 //! a supervisor sends to tear the daemon down). Shutdown is graceful:
 //! the loop stops accepting and joins every in-flight campaign before
-//! returning.
+//! returning. The request line itself is read on the accept loop, within
+//! [`REQUEST_TIMEOUT`], so a client that never finishes its line delays
+//! the others by at most that long.
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use crate::job::{run_campaign, JobConfig};
 use crate::protocol::{parse_request, Event, Request};
@@ -70,17 +73,45 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
 /// with an `error` event and the connection is closed.
 pub const MAX_REQUEST_LINE: u64 = 64 * 1024;
 
+/// How long the accept loop waits for a whole request line. A silent
+/// or trickling client is answered with an `error` event once it
+/// expires, and the loop goes on accepting.
+pub const REQUEST_TIMEOUT: Duration = Duration::from_secs(3);
+
+/// Reads a connection against one deadline: each read waits at most for
+/// the time left, so trickled bytes cannot stretch the wait either.
+struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        let mut stream = self.stream;
+        stream.read(buf)
+    }
+}
+
 fn read_request(stream: &TcpStream) -> Result<Request, String> {
-    let mut reader = BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|e| format!("cannot clone connection: {e}"))?,
-    )
+    let mut reader = BufReader::new(DeadlineReader {
+        stream,
+        deadline: Instant::now() + REQUEST_TIMEOUT,
+    })
     .take(MAX_REQUEST_LINE);
     let mut line = Vec::new();
     reader
         .read_until(b'\n', &mut line)
-        .map_err(|e| format!("cannot read request: {e}"))?;
+        .map_err(|e| match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                format!("no request line within {}s", REQUEST_TIMEOUT.as_secs())
+            }
+            _ => format!("cannot read request: {e}"),
+        })?;
     if !line.ends_with(b"\n") && line.len() as u64 == MAX_REQUEST_LINE {
         return Err(format!("request line longer than {MAX_REQUEST_LINE} bytes"));
     }

@@ -163,6 +163,41 @@ fn oversized_request_line_is_refused_with_an_error() {
 }
 
 #[test]
+fn silent_and_trickling_clients_do_not_stall_the_server() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::time::{Duration, Instant};
+    use swifi_server::server::REQUEST_TIMEOUT;
+    let (addr, handle, workdir) = start_server("slowloris");
+    let start = Instant::now();
+    // One client never sends a byte; the next sends one byte every
+    // 200 ms and never a newline. The accept loop reads them in turn.
+    let silent = TcpStream::connect(&addr).unwrap();
+    let mut trickle = TcpStream::connect(&addr).unwrap();
+    let trickler = std::thread::spawn(move || {
+        while start.elapsed() < 4 * REQUEST_TIMEOUT && trickle.write_all(b" ").is_ok() {
+            std::thread::sleep(Duration::from_millis(200));
+        }
+    });
+    let mut events = Vec::new();
+    request(&addr, &Request::Ping, |e| events.push(e.clone())).unwrap();
+    assert_eq!(events, vec![Event::Pong]);
+    let waited = start.elapsed();
+    assert!(
+        waited < 2 * REQUEST_TIMEOUT + Duration::from_secs(3),
+        "ping answered only after {waited:?}"
+    );
+    // The silent client was told why it was dropped.
+    let mut line = String::new();
+    BufReader::new(silent).read_line(&mut line).unwrap();
+    match Event::parse(&line).unwrap() {
+        Event::Error { message } => assert!(message.contains("no request line"), "{message}"),
+        other => panic!("expected error event, got {other:?}"),
+    }
+    trickler.join().unwrap();
+    stop_server(&addr, handle, &workdir);
+}
+
+#[test]
 fn request_closed_without_a_newline_is_parsed_as_sent() {
     let (addr, handle, workdir) = start_server("nonewline");
     // A complete request cut off by the peer closing still counts.

@@ -19,10 +19,9 @@
 //!
 //! The disabled case is the design constraint (ZOFI's near-zero-probe
 //! bar): a campaign without telemetry carries `None` instead of a hub,
-//! so the per-run cost is one pointer test — measured by
-//! `BENCH_trace_overhead.json` at under 1% of instruction throughput.
-//! Telemetry never feeds report equality: the resume and sharding
-//! oracles compare through `Throughput::equality_key` exactly as before.
+//! so the per-run cost is one pointer test, measured at under 1% of
+//! instruction throughput. Telemetry never feeds report equality: the
+//! resume and sharding oracles compare campaigns exactly as without it.
 
 pub mod event;
 pub mod merge;

@@ -12,7 +12,7 @@
 //! When a pillar is disabled its record calls reduce to a flag test; the
 //! campaign session additionally guards its instrumentation behind one
 //! `Option` check per *run*, which is what keeps the disabled-telemetry
-//! overhead under the 1% budget (`BENCH_trace_overhead.json`).
+//! overhead under a 1% budget.
 
 use std::io::Write;
 use std::path::Path;

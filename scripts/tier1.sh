@@ -16,6 +16,6 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 ./scripts/resume_smoke.sh
 ./scripts/mutation_smoke.sh
-./scripts/perf_smoke.sh equivalence
+./scripts/perf_smoke.sh
 ./scripts/trace_smoke.sh
 ./scripts/server_smoke.sh

@@ -1,7 +1,7 @@
 //! Integration tests for the fault-tolerant campaign engine: JSONL
 //! checkpoint/resume, the per-run wall-clock watchdog, and
 //! panic-to-`Abnormal` recovery. The seed-determinism report equality
-//! (`ProgramCampaign`/`Throughput` `PartialEq`) is the oracle throughout:
+//! (`ProgramCampaign`/`SourceCampaign` `PartialEq`) is the oracle throughout:
 //! a resumed campaign must be indistinguishable from an uninterrupted one.
 
 use std::io::Write;
@@ -79,6 +79,12 @@ fn killed_campaign_resumes_to_an_equal_report() {
     )
     .unwrap();
     assert_eq!(full, uninterrupted, "checkpointing must not perturb");
+    // Throughput counts what this process executed: a fresh campaign
+    // runs every (fault, input) pair once.
+    let tp = full.throughput.stats;
+    assert_eq!(tp.runs, full.total_runs);
+    assert_eq!(tp.dormant_runs, full.dormant_runs);
+    assert_eq!(tp.fired_runs, full.total_runs - full.dormant_runs);
     truncate_checkpoint(&path, 7);
 
     // Resume: the 7 recorded faults replay from disk, the rest re-run.
@@ -90,8 +96,12 @@ fn killed_campaign_resumes_to_an_equal_report() {
     )
     .unwrap();
     assert_eq!(resumed, uninterrupted, "resumed report must be equal");
+    let executed = resumed.total_runs - 7 * scale.inputs_per_fault as u64;
+    assert_eq!(resumed.throughput.stats.runs, executed);
+    assert!(executed < resumed.total_runs);
 
-    // A second resume replays everything and still folds to equality.
+    // A second resume replays everything and still folds to equality,
+    // having executed nothing.
     let replayed = class_campaign_with(
         &target,
         scale,
@@ -100,6 +110,7 @@ fn killed_campaign_resumes_to_an_equal_report() {
     )
     .unwrap();
     assert_eq!(replayed, uninterrupted);
+    assert_eq!(replayed.throughput.stats.runs, 0);
 
     std::fs::remove_file(&path).ok();
 }
@@ -108,7 +119,7 @@ fn killed_campaign_resumes_to_an_equal_report() {
 fn killed_source_campaign_resumes_to_an_equal_report() {
     // The same kill/resume contract holds for the source-mutation driver:
     // a campaign killed mid-append and resumed must report byte-equal to
-    // an uninterrupted one (same Throughput-equality oracle — mutant
+    // an uninterrupted one (same report-equality oracle — mutant
     // selection, compilation and run accounting all replay from disk).
     let target = program("JB.team11").unwrap();
     let scale = SourceScale {
@@ -293,8 +304,8 @@ fn telemetry_is_a_pure_observer_of_class_campaigns() {
 
     assert_eq!(traced, plain, "telemetry must not perturb the report");
     assert_eq!(
-        traced.throughput.equality_key(),
-        plain.throughput.equality_key()
+        (traced.total_runs, traced.dormant_runs),
+        (plain.total_runs, plain.dormant_runs)
     );
 
     // And the instrumentation genuinely ran: events were buffered, the

@@ -272,10 +272,12 @@ fn default_campaigns_execute_no_hidden_work() {
         for seed in [7, 2024] {
             let full = class_campaign_with(&target, scale, seed, &plain)
                 .unwrap()
-                .throughput;
+                .throughput
+                .stats;
             let layered = class_campaign_with(&target, scale, seed, &CampaignOptions::default())
                 .unwrap()
-                .throughput;
+                .throughput
+                .stats;
             assert_eq!(full.prefix_instrs_skipped, 0, "{name} seed {seed}");
             assert!(
                 layered.prefix_instrs_skipped > 0,
