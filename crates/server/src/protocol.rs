@@ -10,6 +10,15 @@
 use serde::Value;
 use swifi_campaign::MergeSummary;
 
+/// Most shards one submission may ask for. The server builds a checkpoint
+/// path per shard up front and each shard is a worker process, so an
+/// unbounded count would exhaust the daemon's memory.
+const MAX_SHARDS: u64 = 1024;
+
+/// Most inputs per fault or mutant one submission may ask for: 100 times
+/// the paper's 300. The whole test case is generated up front.
+const MAX_INPUTS: u64 = 30_000;
+
 /// A client request: exactly one per connection.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -326,9 +335,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
                 driver: Driver::from_name(&get_str(obj, "driver")?)?,
                 target: get_str(obj, "target")?,
                 seed: get_u64(obj, "seed")?,
-                inputs: get_u64(obj, "inputs")?.max(1) as usize,
+                inputs: get_bounded(obj, "inputs", MAX_INPUTS)?.max(1) as usize,
                 mutants: get_u64(obj, "mutants")?.max(1) as usize,
-                shards: get_u64(obj, "shards")?,
+                shards: get_bounded(obj, "shards", MAX_SHARDS)?,
                 pool: get_u64(obj, "pool")?.max(1) as usize,
                 want_trace: get_bool(obj, "want_trace")?,
                 want_metrics: get_bool(obj, "want_metrics")?,
@@ -377,6 +386,14 @@ fn get_u64(obj: &[(String, Value)], key: &str) -> Result<u64, String> {
         Ok(_) => Err(format!("field `{key}` must be a non-negative integer")),
         Err(_) => Err(format!("missing field `{key}`")),
     }
+}
+
+fn get_bounded(obj: &[(String, Value)], key: &str, max: u64) -> Result<u64, String> {
+    let n = get_u64(obj, key)?;
+    if n > max {
+        return Err(format!("field `{key}` is {n}, above the limit of {max}"));
+    }
+    Ok(n)
 }
 
 fn get_bool(obj: &[(String, Value)], key: &str) -> Result<bool, String> {
@@ -482,5 +499,38 @@ mod tests {
         assert!(err.contains("unknown driver"), "{err}");
         let err = Event::parse("{\"event\":\"shard_done\",\"shard\":1}").unwrap_err();
         assert!(err.contains("missing field `ok`"), "{err}");
+    }
+
+    #[test]
+    fn hostile_scale_fields_are_refused() {
+        // One line asking for a trillion shards (or inputs) must not
+        // reach the shard planner.
+        let parse =
+            |req: &CampaignRequest| parse_request(&render_request(&Request::Submit(req.clone())));
+        let mut req = sample_request();
+        req.shards = 1_000_000_000_000;
+        let err = parse(&req).unwrap_err();
+        assert!(
+            err.contains("field `shards` is 1000000000000, above the limit"),
+            "{err}"
+        );
+        let mut req = sample_request();
+        req.inputs = 1_000_000_000_000;
+        let err = parse(&req).unwrap_err();
+        assert!(
+            err.contains("field `inputs` is 1000000000000, above the limit"),
+            "{err}"
+        );
+
+        // The limits themselves are accepted; one past either is not.
+        let mut req = sample_request();
+        req.shards = MAX_SHARDS;
+        req.inputs = MAX_INPUTS as usize;
+        assert_eq!(parse(&req).unwrap(), Request::Submit(req.clone()));
+        req.shards += 1;
+        assert!(parse(&req).is_err());
+        req.shards -= 1;
+        req.inputs += 1;
+        assert!(parse(&req).is_err());
     }
 }

@@ -3,7 +3,9 @@
 //! One connection carries one request. `ping` and `shutdown` are
 //! answered inline; a `submit` spawns a handler thread so a long
 //! campaign does not block further submissions (or the shutdown probe
-//! a supervisor sends to tear the daemon down). Shutdown is graceful:
+//! a supervisor sends to tear the daemon down). At most
+//! [`MAX_CONCURRENT_CAMPAIGNS`] run at once; finished ones are reaped on
+//! every accept and a submit beyond the cap is refused. Shutdown is graceful:
 //! the loop stops accepting and joins every in-flight campaign before
 //! returning. The request line itself is read on the accept loop, within
 //! [`REQUEST_TIMEOUT`], so a client that never finishes its line delays
@@ -12,6 +14,7 @@
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::job::{run_campaign, JobConfig};
@@ -25,9 +28,17 @@ use crate::protocol::{parse_request, Event, Request};
 /// answered on that connection and do not stop the server.
 pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
     let cfg = Arc::new(cfg);
-    let mut campaigns = Vec::new();
+    let mut campaigns: Vec<JoinHandle<()>> = Vec::new();
     for conn in listener.incoming() {
         let stream = conn.map_err(|e| format!("accept failed: {e}"))?;
+        // Join the campaigns that have finished (never blocks), so the
+        // list holds only the ones still running.
+        let (finished, running): (Vec<_>, Vec<_>) =
+            campaigns.into_iter().partition(|h| h.is_finished());
+        campaigns = running;
+        for handle in finished {
+            let _ = handle.join();
+        }
         match read_request(&stream) {
             Err(e) => {
                 // A malformed line still gets a diagnosis before the
@@ -40,6 +51,12 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
             Ok(Request::Shutdown) => {
                 let _ = send(&stream, &Event::Done);
                 break;
+            }
+            Ok(Request::Submit(_)) if campaigns.len() >= MAX_CONCURRENT_CAMPAIGNS => {
+                let message = format!(
+                    "server busy: {MAX_CONCURRENT_CAMPAIGNS} campaigns already running, retry later"
+                );
+                let _ = send(&stream, &Event::Error { message });
             }
             Ok(Request::Submit(req)) => {
                 let cfg = Arc::clone(&cfg);
@@ -66,6 +83,11 @@ pub fn serve(listener: TcpListener, cfg: JobConfig) -> Result<(), String> {
     }
     Ok(())
 }
+
+/// Most campaigns the server runs at once. Each runs its final merge
+/// pass on a server thread and may fan out `pool` worker processes, so
+/// unbounded submits would exhaust the host.
+pub const MAX_CONCURRENT_CAMPAIGNS: usize = 4;
 
 /// Longest request line the server reads, newline included. A request
 /// is one small JSON object (a few hundred bytes); the cap bounds what a

@@ -356,3 +356,99 @@ fn requested_telemetry_streams_back_merged_and_valid() {
     // The merged trace is schema-valid and timestamp-ordered.
     swifi_trace::validate_chrome_trace(&trace).unwrap();
 }
+
+/// A shard-worker executable that waits until `gate` exists and then
+/// fails, so the final pass runs the campaign in process. A campaign
+/// using it stays in flight for exactly as long as a test holds the gate.
+#[cfg(unix)]
+fn gated_worker(dir: &std::path::Path) -> (PathBuf, PathBuf) {
+    use std::os::unix::fs::PermissionsExt;
+    let gate = dir.join("gate");
+    let exe = dir.join("gated-worker.sh");
+    let script = format!(
+        "#!/bin/sh\nwhile [ ! -e '{}' ]; do sleep 0.02; done\nexit 1\n",
+        gate.display()
+    );
+    std::fs::write(&exe, script).unwrap();
+    std::fs::set_permissions(&exe, std::fs::Permissions::from_mode(0o755)).unwrap();
+    (exe, gate)
+}
+
+#[cfg(unix)]
+#[test]
+fn submits_beyond_the_campaign_cap_are_refused_until_one_finishes() {
+    use std::io::{BufRead, BufReader, Write};
+    use swifi_server::protocol::render_request;
+    use swifi_server::server::MAX_CONCURRENT_CAMPAIGNS;
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    let workdir = temp_dir("cap");
+    let (exe, gate) = gated_worker(&workdir);
+    let cfg = JobConfig {
+        workdir: workdir.clone(),
+        mode: WorkerMode::Process { exe },
+    };
+    let handle = std::thread::spawn(move || serve(listener, cfg).unwrap());
+    let jb = |seed: u64| CampaignRequest {
+        driver: Driver::Class,
+        target: "JB.team11".to_string(),
+        seed,
+        inputs: 1,
+        mutants: 1,
+        shards: 1,
+        pool: 1,
+        want_trace: false,
+        want_metrics: false,
+    };
+
+    // Fill every slot: each campaign is accepted, then waits on its worker.
+    let held: Vec<BufReader<TcpStream>> = (0..MAX_CONCURRENT_CAMPAIGNS as u64)
+        .map(|seed| {
+            let mut stream = TcpStream::connect(&addr).unwrap();
+            writeln!(stream, "{}", render_request(&Request::Submit(jb(seed)))).unwrap();
+            let mut reader = BufReader::new(stream);
+            let mut line = String::new();
+            reader.read_line(&mut line).unwrap();
+            assert!(
+                matches!(Event::parse(&line).unwrap(), Event::Accepted { .. }),
+                "{line}"
+            );
+            reader
+        })
+        .collect();
+    let err = submit(&addr, jb(99)).unwrap_err();
+    assert!(err.contains("server busy"), "{err}");
+    let mut events = Vec::new();
+    request(&addr, &Request::Ping, |e| events.push(e.clone())).unwrap();
+    assert_eq!(events, vec![Event::Pong], "the cap holds only submits back");
+
+    // Release the workers. Their shards fail, so each held campaign
+    // ends on the merge's `error` line: a terminal event all the same.
+    std::fs::write(&gate, b"").unwrap();
+    for mut reader in held {
+        let (mut line, mut last) = (String::new(), String::new());
+        while reader.read_line(&mut line).unwrap() > 0 {
+            last = std::mem::take(&mut line);
+        }
+        assert!(
+            matches!(Event::parse(&last).unwrap(), Event::Error { .. }),
+            "{last}"
+        );
+    }
+    // The finished campaigns are reaped, so a new submit is admitted. A
+    // handler thread exits just after closing its connection, hence the
+    // short retry.
+    let admitted = (0..200).any(|_| {
+        let mut accepted = false;
+        let outcome = request(&addr, &Request::Submit(jb(99)), |e| {
+            accepted |= matches!(e, Event::Accepted { .. });
+        });
+        if !accepted {
+            assert!(outcome.unwrap_err().contains("server busy"));
+            std::thread::sleep(std::time::Duration::from_millis(10));
+        }
+        accepted
+    });
+    assert!(admitted, "finished campaigns free their slots");
+    stop_server(&addr, handle, &workdir);
+}

@@ -21,9 +21,9 @@
 //! * a control transfer (`b`, `bl`, `bc`, `blr`) — translated into a
 //!   pre-resolved [`Term`] with absolute targets;
 //! * a syscall or halt — the block ends *before* it
-//!   ([`Term::Fallthrough`]); the instruction itself executes on the
-//!   single-step path, where scheduler state changes and the inlined
-//!   syscall handlers live;
+//!   ([`Term::Fallthrough`]); the instruction itself executes on
+//!   `Machine::step`, the reference interpreter, which owns every
+//!   syscall and scheduler state change;
 //! * an unavailable line (pinned PC, illegal word, PC outside the cached
 //!   region) — the block ends before it and the slow fetch path takes
 //!   over, preserving fetch corruption, fetch breakpoints, and precise
@@ -36,6 +36,14 @@
 //! `cmpi` feeding the block-ending conditional branch →
 //! [`Term::CmpiCondJump`]), so common loop idioms retire two instructions
 //! per dispatch step.
+//!
+//! # Execution
+//!
+//! `Machine::run_quantum` executes a block's steps through `straight_op!`,
+//! the one copy of the straight-line semantics it shares with its
+//! per-instruction line-cache loop: hook-free (with `Noop` as the
+//! inspector) when the inspector vouches the block is quiescent, hooked
+//! otherwise.
 //!
 //! # Invalidation
 //!

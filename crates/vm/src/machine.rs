@@ -50,7 +50,7 @@ use std::fmt;
 use std::time::Instant;
 
 use crate::blocks::{BlockCache, BlockCacheStats, Step, Term};
-use crate::inspect::{FetchPolicy, Inspector};
+use crate::inspect::{FetchPolicy, Inspector, Noop};
 use crate::isa::{self, AluOp, CrBit, Instr, Syscall};
 use crate::mem::{
     Allocator, DecodeCacheStats, Image, Memory, MemoryDelta, MemorySnapshot, CODE_BASE,
@@ -143,6 +143,13 @@ impl Cpu {
     #[inline]
     pub fn cr_bit(&self, crf: u8, bit: CrBit) -> bool {
         (self.cr >> ((crf as u32 & 7) * 4 + bit.index())) & 1 == 1
+    }
+
+    /// General-purpose register `r`, index masked so the cached
+    /// executor's reads compile without a bounds check.
+    #[inline(always)]
+    fn reg(&self, r: u8) -> u32 {
+        self.regs[(r & 31) as usize]
     }
 
     #[inline]
@@ -432,6 +439,132 @@ pub struct Machine {
 
 /// Default scheduler rounds between watchdog deadline polls.
 pub const DEFAULT_WATCHDOG_POLL: u32 = 64;
+
+/// The straight-line semantics of one instruction — everything but the
+/// control transfers, syscalls and `halt` — as the cached executor
+/// ([`Machine::run_quantum`]) runs them. Its three dispatch sites each
+/// expand this one copy: the hook-free block body (with `Noop` as the
+/// inspector, so the hooks compile away), the hooked block body and the
+/// line-cache loop. [`Machine::step`] keeps its own copy as the reference
+/// interpreter the differential tests compare against.
+///
+/// Arguments: the decoded instruction; the inspector, core index and
+/// architectural pc the hooks see; the core and guest memory; the site's
+/// `set_reg!(rd, value)` (write-back and stack guard) and `trap!(trap)`
+/// (settle the countdown and return `Err`) macros; a block run after each
+/// completed store; and match arms for the instructions not covered here.
+/// The trap control flow stays in the site's macros rather than behind a
+/// `Result`-returning function, which measured markedly slower.
+macro_rules! straight_op {
+    (
+        $instr:expr, $insp:expr, $c:expr, $pc:expr, $core:expr, $mem:expr,
+        $set_reg:ident, $trap:ident, after_store $after_store:block,
+        $($other:pat => $arm:block)+
+    ) => {
+        match $instr {
+            Instr::Addi { rd, ra, imm } => {
+                $set_reg!(rd, $core.reg(ra).wrapping_add(imm as i32 as u32));
+            }
+            Instr::Addis { rd, ra, imm } => {
+                $set_reg!(rd, $core.reg(ra).wrapping_add((imm as i32 as u32) << 16));
+            }
+            Instr::Andi { rd, ra, imm } => $set_reg!(rd, $core.reg(ra) & imm as u32),
+            Instr::Ori { rd, ra, imm } => $set_reg!(rd, $core.reg(ra) | imm as u32),
+            Instr::Xori { rd, ra, imm } => $set_reg!(rd, $core.reg(ra) ^ imm as u32),
+            Instr::Cmpi { crf, ra, imm } => {
+                let a = $core.reg(ra) as i32;
+                let b = imm as i32;
+                $core.set_cr_field(crf, a < b, a > b, a == b);
+            }
+            Instr::Cmp { crf, ra, rb } => {
+                let a = $core.reg(ra) as i32;
+                let b = $core.reg(rb) as i32;
+                $core.set_cr_field(crf, a < b, a > b, a == b);
+            }
+            Instr::Alu { op, rd, ra, rb } => {
+                let a = $core.reg(ra);
+                let b = $core.reg(rb);
+                let v = match op {
+                    AluOp::Add => a.wrapping_add(b),
+                    AluOp::Sub => a.wrapping_sub(b),
+                    AluOp::Mullw => (a as i32).wrapping_mul(b as i32) as u32,
+                    AluOp::Divw => {
+                        if b == 0 {
+                            $trap!(Trap::DivideByZero);
+                        }
+                        (a as i32).wrapping_div(b as i32) as u32
+                    }
+                    AluOp::Divwu => {
+                        if b == 0 {
+                            $trap!(Trap::DivideByZero);
+                        }
+                        a / b
+                    }
+                    AluOp::Remw => {
+                        if b == 0 {
+                            $trap!(Trap::DivideByZero);
+                        }
+                        (a as i32).wrapping_rem(b as i32) as u32
+                    }
+                    AluOp::And => a & b,
+                    AluOp::Or => a | b,
+                    AluOp::Xor => a ^ b,
+                    AluOp::Nand => !(a & b),
+                    AluOp::Nor => !(a | b),
+                    AluOp::Slw => a.wrapping_shl(b & 31),
+                    AluOp::Srw => a.wrapping_shr(b & 31),
+                    AluOp::Sraw => ((a as i32).wrapping_shr(b & 31)) as u32,
+                    AluOp::Neg => (a as i32).wrapping_neg() as u32,
+                    AluOp::Not => !a,
+                };
+                $set_reg!(rd, v);
+            }
+            Instr::Lwz { rd, ra, d } => {
+                let mut addr = $core.reg(ra).wrapping_add(d as i32 as u32);
+                $insp.on_load_addr($c, $pc, &mut addr);
+                let mut v = match $mem.read_u32(addr) {
+                    Ok(v) => v,
+                    Err(t) => $trap!(t),
+                };
+                $insp.on_load_value($c, $pc, addr, &mut v);
+                $set_reg!(rd, v);
+            }
+            Instr::Lbz { rd, ra, d } => {
+                let mut addr = $core.reg(ra).wrapping_add(d as i32 as u32);
+                $insp.on_load_addr($c, $pc, &mut addr);
+                let mut v = match $mem.read_u8(addr) {
+                    Ok(v) => v as u32,
+                    Err(t) => $trap!(t),
+                };
+                $insp.on_load_value($c, $pc, addr, &mut v);
+                $set_reg!(rd, v);
+            }
+            Instr::Stw { rs, ra, d } => {
+                let mut addr = $core.reg(ra).wrapping_add(d as i32 as u32);
+                $insp.on_store_addr($c, $pc, &mut addr);
+                let mut v = $core.reg(rs);
+                $insp.on_store_value($c, $pc, addr, &mut v);
+                if let Err(t) = $mem.write_u32(addr, v) {
+                    $trap!(t);
+                }
+                $after_store
+            }
+            Instr::Stb { rs, ra, d } => {
+                let mut addr = $core.reg(ra).wrapping_add(d as i32 as u32);
+                $insp.on_store_addr($c, $pc, &mut addr);
+                let mut v = $core.reg(rs) & 0xFF;
+                $insp.on_store_value($c, $pc, addr, &mut v);
+                if let Err(t) = $mem.write_u8(addr, v as u8) {
+                    $trap!(t);
+                }
+                $after_store
+            }
+            Instr::Mflr { rd } => $set_reg!(rd, $core.lr),
+            Instr::Mtlr { ra } => $core.lr = $core.reg(ra),
+            $($other => $arm)+
+        }
+    };
+}
 
 impl Machine {
     /// Build a machine per `config` with empty memory and input.
@@ -854,9 +987,9 @@ impl Machine {
                 any_running = true;
                 if cached {
                     let progress = if use_blocks {
-                        self.run_quantum_blocks(c, inspector)
+                        self.run_quantum::<I, true>(c, inspector)
                     } else {
-                        self.run_quantum_cached(c, inspector)
+                        self.run_quantum::<I, false>(c, inspector)
                     };
                     match progress {
                         Ok(Progress::Continue | Progress::StateChange) => {}
@@ -941,46 +1074,27 @@ impl Machine {
         }
     }
 
-    /// Execute up to one scheduling quantum on core `c` straight from the
-    /// decoded line cache — the cached interpreter's hot loop.
+    /// Execute up to one scheduling quantum on core `c` from the decoded
+    /// caches — the cached interpreter's hot loop. With `BLOCKS` each
+    /// dispatch first tries a whole translated basic block (see
+    /// [`crate::blocks`]); without it every instruction dispatches from
+    /// the line cache. The const generic compiles each mode to its own
+    /// loop with no dynamic dispatch in the hot path.
     ///
-    /// The machine's borrows are split once per tight segment (`cores` /
-    /// `mem` / `retired`), the program counter lives in a register, and
-    /// register indices are masked to elide bounds checks; the segment runs
-    /// until something needs the full machine: a slow fetch (pinned PC,
-    /// missing/illegal line, PC outside the cache), a syscall, or a halt.
-    /// Those fall back to [`Machine::step`] — the seed interpreter — for
-    /// exactly one instruction, so every observable (traps, hook order,
-    /// `on_fetch` corruption, output) is produced by the same code on both
-    /// interpreters. The differential property suite pins the equivalence.
-    fn run_quantum_cached<I: Inspector>(
-        &mut self,
-        c: usize,
-        insp: &mut I,
-    ) -> Result<Progress, (Trap, u32)> {
-        self.run_quantum_body::<I, false>(c, insp)
-    }
-
-    /// [`Machine::run_quantum_cached`] with basic-block dispatch on top:
-    /// before each per-instruction dispatch the executor first tries to run
-    /// a whole translated block (see [`crate::blocks`]). Anything a block
-    /// cannot represent — pinned PCs, syscalls, halts, illegal words, PCs
-    /// outside the cache, a block that would overrun the quantum or budget
-    /// countdown — falls through to the identical per-instruction code, so
-    /// observables and accounting are byte-for-byte the same.
-    fn run_quantum_blocks<I: Inspector>(
-        &mut self,
-        c: usize,
-        insp: &mut I,
-    ) -> Result<Progress, (Trap, u32)> {
-        self.run_quantum_body::<I, true>(c, insp)
-    }
-
-    /// Shared executor behind [`Machine::run_quantum_cached`] (`BLOCKS =
-    /// false`) and [`Machine::run_quantum_blocks`] (`BLOCKS = true`); the
-    /// const generic lets each mode compile to its own specialised loop
-    /// with zero dynamic dispatch in the hot path.
-    fn run_quantum_body<I: Inspector, const BLOCKS: bool>(
+    /// The machine's borrows are split once per tight segment, the
+    /// program counter lives in a register, and register indices are
+    /// masked to elide bounds checks. The three dispatch sites — the
+    /// hook-free block body, the hooked block body and the line-cache
+    /// loop — each expand the one [`straight_op!`] copy of the
+    /// straight-line semantics. Anything that needs the full machine (a
+    /// slow fetch for a pinned PC, a missing or illegal line or a PC
+    /// outside the cache; a syscall; a halt) ends the segment and runs on
+    /// [`Machine::step`], the reference interpreter, for exactly one
+    /// instruction. A block that cannot represent a PC, or would overrun
+    /// the quantum or budget countdown, falls through to the line-cache
+    /// loop. Observables and accounting are therefore the reference's; the
+    /// differential property suite pins the equivalence.
+    fn run_quantum<I: Inspector, const BLOCKS: bool>(
         &mut self,
         c: usize,
         insp: &mut I,
@@ -995,7 +1109,6 @@ impl Machine {
             self.config.quantum
         };
         let budget = self.config.budget;
-        let output_limit = self.config.output_limit;
         let mut steps: u32 = 0;
         while steps < quantum {
             let slow = 'tight: {
@@ -1004,12 +1117,8 @@ impl Machine {
                     mem,
                     blocks,
                     retired,
-                    alloc,
-                    input,
-                    output,
                     ..
                 } = &mut *self;
-                let num_cores = cores.len();
                 let core = &mut cores[c];
                 let mut pc = core.pc;
                 // Disjoint halves of the block cache: the executor holds a
@@ -1025,6 +1134,9 @@ impl Machine {
                 // below and the explicit commits on the trap returns).
                 let seg: u64 = ((quantum - steps) as u64).min(budget.saturating_sub(*retired));
                 let mut left = seg;
+                // On every exit the architectural `core.pc` is re-synced;
+                // on a trap it equals the faulting pc, exactly as the
+                // reference interpreter leaves it.
                 macro_rules! commit {
                     () => {{
                         let done = seg - left;
@@ -1034,36 +1146,6 @@ impl Machine {
                             steps += done as u32;
                         }
                         core.pc = pc;
-                    }};
-                }
-                // On every exit the architectural `core.pc` is re-synced;
-                // on a trap it equals the faulting pc, exactly as the seed
-                // interpreter leaves it.
-                macro_rules! mem_op {
-                    ($e:expr) => {
-                        match $e {
-                            Ok(v) => v,
-                            Err(t) => {
-                                commit!();
-                                return Err((t, pc));
-                            }
-                        }
-                    };
-                }
-                macro_rules! reg {
-                    ($r:expr) => {
-                        core.regs[($r & 31) as usize]
-                    };
-                }
-                macro_rules! set_reg {
-                    ($rd:expr, $val:expr) => {{
-                        let mut v: u32 = $val;
-                        insp.on_reg_write(c, pc, $rd, &mut v);
-                        reg!($rd) = v;
-                        if $rd == 1 && v < core.stack_floor {
-                            commit!();
-                            return Err((Trap::StackOverflow, pc));
-                        }
                     }};
                 }
                 while left > 0 {
@@ -1084,25 +1166,23 @@ impl Machine {
                             // countdown: if it does not fit, the tail of the
                             // segment runs per-instruction instead, keeping
                             // scheduler interleaving and hang accounting
-                            // byte-identical to the cached interpreter.
+                            // byte-identical to the line-cache loop.
                             if cost <= left {
                                 blk_stats.block_hits += 1;
                                 left -= cost;
+                                // Block ops are contiguous by construction,
+                                // so the PC of sub-op `i` is `bstart + 4·i`.
+                                let bstart = pc;
                                 if insp.block_quiescent(c, pc, blk.last_pc()) {
-                                    // Hook-free fast body: the inspector
-                                    // has vouched (see
-                                    // `Inspector::block_quiescent`) that
-                                    // every per-instruction hook over this
-                                    // range is a no-op and that retires
-                                    // may be batched, so each sub-op is
-                                    // just its architectural work. Trap
-                                    // PCs are reconstructed as
-                                    // `bstart + 4·done_ops` — block ops
-                                    // are contiguous by construction.
-                                    let bstart = pc;
+                                    // Hook-free body: the inspector has
+                                    // vouched (see `Inspector::block_quiescent`)
+                                    // that every per-instruction hook over
+                                    // this range is a no-op and that retires
+                                    // may be batched, so `straight_op!` runs
+                                    // with `Noop` and the hooks compile away.
                                     let mut done_ops: u32 = 0;
                                     let mut store_abort = false;
-                                    macro_rules! qtrap {
+                                    macro_rules! trap {
                                         ($t:expr) => {{
                                             let bpc = bstart.wrapping_add(done_ops.wrapping_mul(4));
                                             insp.on_block_retire(c, bstart, done_ops);
@@ -1113,170 +1193,33 @@ impl Machine {
                                             return Err(($t, bpc));
                                         }};
                                     }
-                                    macro_rules! qmem_op {
-                                        ($e:expr) => {
-                                            match $e {
-                                                Ok(v) => v,
-                                                Err(t) => qtrap!(t),
-                                            }
-                                        };
-                                    }
-                                    macro_rules! qset_reg {
+                                    macro_rules! set_reg {
                                         ($rd:expr, $val:expr) => {{
                                             let v: u32 = $val;
-                                            reg!($rd) = v;
+                                            core.regs[($rd & 31) as usize] = v;
                                             if $rd == 1 && v < core.stack_floor {
-                                                qtrap!(Trap::StackOverflow);
+                                                trap!(Trap::StackOverflow);
                                             }
                                         }};
                                     }
                                     'qbody: for step in blk.body.iter() {
                                         match *step {
                                             Step::Op(instr) => {
-                                                match instr {
-                                                    Instr::Addi { rd, ra, imm } => {
-                                                        qset_reg!(
-                                                            rd,
-                                                            reg!(ra)
-                                                                .wrapping_add(imm as i32 as u32)
-                                                        );
-                                                    }
-                                                    Instr::Addis { rd, ra, imm } => {
-                                                        qset_reg!(
-                                                            rd,
-                                                            reg!(ra).wrapping_add(
-                                                                (imm as i32 as u32) << 16
-                                                            )
-                                                        );
-                                                    }
-                                                    Instr::Andi { rd, ra, imm } => {
-                                                        qset_reg!(rd, reg!(ra) & imm as u32);
-                                                    }
-                                                    Instr::Ori { rd, ra, imm } => {
-                                                        qset_reg!(rd, reg!(ra) | imm as u32);
-                                                    }
-                                                    Instr::Xori { rd, ra, imm } => {
-                                                        qset_reg!(rd, reg!(ra) ^ imm as u32);
-                                                    }
-                                                    Instr::Cmpi { crf, ra, imm } => {
-                                                        let a = reg!(ra) as i32;
-                                                        let b = imm as i32;
-                                                        core.set_cr_field(
-                                                            crf,
-                                                            a < b,
-                                                            a > b,
-                                                            a == b,
-                                                        );
-                                                    }
-                                                    Instr::Cmp { crf, ra, rb } => {
-                                                        let a = reg!(ra) as i32;
-                                                        let b = reg!(rb) as i32;
-                                                        core.set_cr_field(
-                                                            crf,
-                                                            a < b,
-                                                            a > b,
-                                                            a == b,
-                                                        );
-                                                    }
-                                                    Instr::Alu { op, rd, ra, rb } => {
-                                                        let a = reg!(ra);
-                                                        let b = reg!(rb);
-                                                        let v = match op {
-                                                            AluOp::Add => a.wrapping_add(b),
-                                                            AluOp::Sub => a.wrapping_sub(b),
-                                                            AluOp::Mullw => (a as i32)
-                                                                .wrapping_mul(b as i32)
-                                                                as u32,
-                                                            AluOp::Divw => {
-                                                                if b == 0 {
-                                                                    qtrap!(Trap::DivideByZero);
-                                                                }
-                                                                (a as i32).wrapping_div(b as i32)
-                                                                    as u32
-                                                            }
-                                                            AluOp::Divwu => {
-                                                                if b == 0 {
-                                                                    qtrap!(Trap::DivideByZero);
-                                                                }
-                                                                a / b
-                                                            }
-                                                            AluOp::Remw => {
-                                                                if b == 0 {
-                                                                    qtrap!(Trap::DivideByZero);
-                                                                }
-                                                                (a as i32).wrapping_rem(b as i32)
-                                                                    as u32
-                                                            }
-                                                            AluOp::And => a & b,
-                                                            AluOp::Or => a | b,
-                                                            AluOp::Xor => a ^ b,
-                                                            AluOp::Nand => !(a & b),
-                                                            AluOp::Nor => !(a | b),
-                                                            AluOp::Slw => a.wrapping_shl(b & 31),
-                                                            AluOp::Srw => a.wrapping_shr(b & 31),
-                                                            AluOp::Sraw => {
-                                                                ((a as i32).wrapping_shr(b & 31))
-                                                                    as u32
-                                                            }
-                                                            AluOp::Neg => {
-                                                                (a as i32).wrapping_neg() as u32
-                                                            }
-                                                            AluOp::Not => !a,
-                                                        };
-                                                        qset_reg!(rd, v);
-                                                    }
-                                                    Instr::Lwz { rd, ra, d } => {
-                                                        let addr =
-                                                            reg!(ra).wrapping_add(d as i32 as u32);
-                                                        let v = qmem_op!(mem.read_u32(addr));
-                                                        qset_reg!(rd, v);
-                                                    }
-                                                    Instr::Lbz { rd, ra, d } => {
-                                                        let addr =
-                                                            reg!(ra).wrapping_add(d as i32 as u32);
-                                                        let v = qmem_op!(mem.read_u8(addr));
-                                                        qset_reg!(rd, v as u32);
-                                                    }
-                                                    Instr::Stw { rs, ra, d } => {
-                                                        let addr =
-                                                            reg!(ra).wrapping_add(d as i32 as u32);
-                                                        qmem_op!(mem.write_u32(addr, reg!(rs)));
+                                                straight_op!(
+                                                    instr, Noop, c, bstart, core, mem,
+                                                    set_reg, trap,
+                                                    after_store {
                                                         if mem.has_code_writes() {
                                                             done_ops += 1;
                                                             store_abort = true;
                                                             break 'qbody;
                                                         }
+                                                    },
+                                                    // Blocks end before any control transfer.
+                                                    _ => {
+                                                        unreachable!("control transfer in block body")
                                                     }
-                                                    Instr::Stb { rs, ra, d } => {
-                                                        let addr =
-                                                            reg!(ra).wrapping_add(d as i32 as u32);
-                                                        qmem_op!(mem.write_u8(
-                                                            addr,
-                                                            (reg!(rs) & 0xFF) as u8
-                                                        ));
-                                                        if mem.has_code_writes() {
-                                                            done_ops += 1;
-                                                            store_abort = true;
-                                                            break 'qbody;
-                                                        }
-                                                    }
-                                                    Instr::Mflr { rd } => {
-                                                        qset_reg!(rd, core.lr);
-                                                    }
-                                                    Instr::Mtlr { ra } => {
-                                                        core.lr = reg!(ra);
-                                                    }
-                                                    Instr::B { .. }
-                                                    | Instr::Bl { .. }
-                                                    | Instr::Bc { .. }
-                                                    | Instr::Blr
-                                                    | Instr::Sc { .. }
-                                                    | Instr::Halt => {
-                                                        unreachable!(
-                                                            "control transfer in block body"
-                                                        )
-                                                    }
-                                                }
+                                                );
                                                 done_ops += 1;
                                             }
                                             Step::Addi2 {
@@ -1287,14 +1230,14 @@ impl Machine {
                                                 ra2,
                                                 imm2,
                                             } => {
-                                                qset_reg!(
+                                                set_reg!(
                                                     rd1,
-                                                    reg!(ra1).wrapping_add(imm1 as i32 as u32)
+                                                    core.reg(ra1).wrapping_add(imm1 as i32 as u32)
                                                 );
                                                 done_ops += 1;
-                                                qset_reg!(
+                                                set_reg!(
                                                     rd2,
-                                                    reg!(ra2).wrapping_add(imm2 as i32 as u32)
+                                                    core.reg(ra2).wrapping_add(imm2 as i32 as u32)
                                                 );
                                                 done_ops += 1;
                                             }
@@ -1335,7 +1278,7 @@ impl Machine {
                                             taken,
                                             fallthrough,
                                         } => {
-                                            let a = reg!(ra) as i32;
+                                            let a = core.reg(ra) as i32;
                                             let b = imm as i32;
                                             core.set_cr_field(crf, a < b, a > b, a == b);
                                             pc = if core.cr_bit(crf, bit) == expect {
@@ -1352,47 +1295,39 @@ impl Machine {
                                     blk_stats.block_instrs += cost;
                                     continue;
                                 }
-                                // `bpc` tracks the architectural PC of the
-                                // in-flight sub-op; `done_ops` counts those
-                                // retired so far, so a mid-block trap or
-                                // store-abort can settle the countdown and
-                                // stats exactly.
-                                let mut bpc = pc;
+                                // Hooked body: `bpc` tracks the architectural
+                                // PC of the in-flight sub-op; `done_ops`
+                                // counts those retired so far, so a mid-block
+                                // trap or store-abort can settle the
+                                // countdown and stats exactly.
+                                let mut bpc = bstart;
                                 let mut done_ops: u64 = 0;
                                 let mut store_abort = false;
-                                macro_rules! bsettle {
+                                macro_rules! settle {
                                     () => {{
                                         blk_stats.block_instrs += done_ops;
                                         left += cost - done_ops;
                                         pc = bpc;
                                     }};
                                 }
-                                macro_rules! btrap {
+                                macro_rules! trap {
                                     ($t:expr) => {{
-                                        bsettle!();
+                                        settle!();
                                         commit!();
                                         return Err(($t, bpc));
                                     }};
                                 }
-                                macro_rules! bmem_op {
-                                    ($e:expr) => {
-                                        match $e {
-                                            Ok(v) => v,
-                                            Err(t) => btrap!(t),
-                                        }
-                                    };
-                                }
-                                macro_rules! bset_reg {
+                                macro_rules! set_reg {
                                     ($rd:expr, $val:expr) => {{
                                         let mut v: u32 = $val;
                                         insp.on_reg_write(c, bpc, $rd, &mut v);
-                                        reg!($rd) = v;
+                                        core.regs[($rd & 31) as usize] = v;
                                         if $rd == 1 && v < core.stack_floor {
-                                            btrap!(Trap::StackOverflow);
+                                            trap!(Trap::StackOverflow);
                                         }
                                     }};
                                 }
-                                macro_rules! bretire {
+                                macro_rules! retire {
                                     () => {{
                                         done_ops += 1;
                                         insp.on_retire(c, bpc);
@@ -1402,147 +1337,26 @@ impl Machine {
                                 'body: for step in blk.body.iter() {
                                     match *step {
                                         Step::Op(instr) => {
-                                            match instr {
-                                                Instr::Addi { rd, ra, imm } => {
-                                                    bset_reg!(
-                                                        rd,
-                                                        reg!(ra).wrapping_add(imm as i32 as u32)
-                                                    );
-                                                }
-                                                Instr::Addis { rd, ra, imm } => {
-                                                    bset_reg!(
-                                                        rd,
-                                                        reg!(ra).wrapping_add(
-                                                            (imm as i32 as u32) << 16
-                                                        )
-                                                    );
-                                                }
-                                                Instr::Andi { rd, ra, imm } => {
-                                                    bset_reg!(rd, reg!(ra) & imm as u32);
-                                                }
-                                                Instr::Ori { rd, ra, imm } => {
-                                                    bset_reg!(rd, reg!(ra) | imm as u32);
-                                                }
-                                                Instr::Xori { rd, ra, imm } => {
-                                                    bset_reg!(rd, reg!(ra) ^ imm as u32);
-                                                }
-                                                Instr::Cmpi { crf, ra, imm } => {
-                                                    let a = reg!(ra) as i32;
-                                                    let b = imm as i32;
-                                                    core.set_cr_field(crf, a < b, a > b, a == b);
-                                                }
-                                                Instr::Cmp { crf, ra, rb } => {
-                                                    let a = reg!(ra) as i32;
-                                                    let b = reg!(rb) as i32;
-                                                    core.set_cr_field(crf, a < b, a > b, a == b);
-                                                }
-                                                Instr::Alu { op, rd, ra, rb } => {
-                                                    let a = reg!(ra);
-                                                    let b = reg!(rb);
-                                                    let v = match op {
-                                                        AluOp::Add => a.wrapping_add(b),
-                                                        AluOp::Sub => a.wrapping_sub(b),
-                                                        AluOp::Mullw => {
-                                                            (a as i32).wrapping_mul(b as i32) as u32
-                                                        }
-                                                        AluOp::Divw => {
-                                                            if b == 0 {
-                                                                btrap!(Trap::DivideByZero);
-                                                            }
-                                                            (a as i32).wrapping_div(b as i32) as u32
-                                                        }
-                                                        AluOp::Divwu => {
-                                                            if b == 0 {
-                                                                btrap!(Trap::DivideByZero);
-                                                            }
-                                                            a / b
-                                                        }
-                                                        AluOp::Remw => {
-                                                            if b == 0 {
-                                                                btrap!(Trap::DivideByZero);
-                                                            }
-                                                            (a as i32).wrapping_rem(b as i32) as u32
-                                                        }
-                                                        AluOp::And => a & b,
-                                                        AluOp::Or => a | b,
-                                                        AluOp::Xor => a ^ b,
-                                                        AluOp::Nand => !(a & b),
-                                                        AluOp::Nor => !(a | b),
-                                                        AluOp::Slw => a.wrapping_shl(b & 31),
-                                                        AluOp::Srw => a.wrapping_shr(b & 31),
-                                                        AluOp::Sraw => {
-                                                            ((a as i32).wrapping_shr(b & 31)) as u32
-                                                        }
-                                                        AluOp::Neg => {
-                                                            (a as i32).wrapping_neg() as u32
-                                                        }
-                                                        AluOp::Not => !a,
-                                                    };
-                                                    bset_reg!(rd, v);
-                                                }
-                                                Instr::Lwz { rd, ra, d } => {
-                                                    let mut addr =
-                                                        reg!(ra).wrapping_add(d as i32 as u32);
-                                                    insp.on_load_addr(c, bpc, &mut addr);
-                                                    let mut v = bmem_op!(mem.read_u32(addr));
-                                                    insp.on_load_value(c, bpc, addr, &mut v);
-                                                    bset_reg!(rd, v);
-                                                }
-                                                Instr::Lbz { rd, ra, d } => {
-                                                    let mut addr =
-                                                        reg!(ra).wrapping_add(d as i32 as u32);
-                                                    insp.on_load_addr(c, bpc, &mut addr);
-                                                    let mut v = bmem_op!(mem.read_u8(addr)) as u32;
-                                                    insp.on_load_value(c, bpc, addr, &mut v);
-                                                    bset_reg!(rd, v);
-                                                }
-                                                Instr::Stw { rs, ra, d } => {
-                                                    let mut addr =
-                                                        reg!(ra).wrapping_add(d as i32 as u32);
-                                                    insp.on_store_addr(c, bpc, &mut addr);
-                                                    let mut v = reg!(rs);
-                                                    insp.on_store_value(c, bpc, addr, &mut v);
-                                                    bmem_op!(mem.write_u32(addr, v));
+                                            straight_op!(
+                                                instr, insp, c, bpc, core, mem,
+                                                set_reg, trap,
+                                                after_store {
+                                                    // Self-modifying store: retire
+                                                    // it, then leave the block so
+                                                    // the next dispatch re-reads
+                                                    // the patched code.
                                                     if mem.has_code_writes() {
-                                                        // Self-modifying store:
-                                                        // retire it, then leave
-                                                        // the block so the next
-                                                        // dispatch re-reads the
-                                                        // patched code.
-                                                        bretire!();
+                                                        retire!();
                                                         store_abort = true;
                                                         break 'body;
                                                     }
-                                                }
-                                                Instr::Stb { rs, ra, d } => {
-                                                    let mut addr =
-                                                        reg!(ra).wrapping_add(d as i32 as u32);
-                                                    insp.on_store_addr(c, bpc, &mut addr);
-                                                    let mut v = reg!(rs) & 0xFF;
-                                                    insp.on_store_value(c, bpc, addr, &mut v);
-                                                    bmem_op!(mem.write_u8(addr, v as u8));
-                                                    if mem.has_code_writes() {
-                                                        bretire!();
-                                                        store_abort = true;
-                                                        break 'body;
-                                                    }
-                                                }
-                                                Instr::Mflr { rd } => {
-                                                    bset_reg!(rd, core.lr);
-                                                }
-                                                Instr::Mtlr { ra } => {
-                                                    core.lr = reg!(ra);
-                                                }
-                                                Instr::B { .. }
-                                                | Instr::Bl { .. }
-                                                | Instr::Bc { .. }
-                                                | Instr::Blr
-                                                | Instr::Sc { .. }
-                                                | Instr::Halt => {
+                                                },
+                                                // Blocks end before any control transfer.
+                                                _ => {
                                                     unreachable!("control transfer in block body")
                                                 }
-                                            }
-                                            bretire!();
+                                            );
+                                            retire!();
                                         }
                                         Step::Addi2 {
                                             rd1,
@@ -1552,21 +1366,21 @@ impl Machine {
                                             ra2,
                                             imm2,
                                         } => {
-                                            bset_reg!(
+                                            set_reg!(
                                                 rd1,
-                                                reg!(ra1).wrapping_add(imm1 as i32 as u32)
+                                                core.reg(ra1).wrapping_add(imm1 as i32 as u32)
                                             );
-                                            bretire!();
-                                            bset_reg!(
+                                            retire!();
+                                            set_reg!(
                                                 rd2,
-                                                reg!(ra2).wrapping_add(imm2 as i32 as u32)
+                                                core.reg(ra2).wrapping_add(imm2 as i32 as u32)
                                             );
-                                            bretire!();
+                                            retire!();
                                         }
                                     }
                                 }
                                 if store_abort {
-                                    bsettle!();
+                                    settle!();
                                     continue;
                                 }
                                 match blk.term {
@@ -1605,7 +1419,7 @@ impl Machine {
                                         taken,
                                         fallthrough,
                                     } => {
-                                        let a = reg!(ra) as i32;
+                                        let a = core.reg(ra) as i32;
                                         let b = imm as i32;
                                         core.set_cr_field(crf, a < b, a > b, a == b);
                                         insp.on_retire(c, bpc);
@@ -1644,101 +1458,26 @@ impl Machine {
                         }
                     };
                     let mut next_pc = pc.wrapping_add(4);
-                    match instr {
-                        Instr::Addi { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra).wrapping_add(imm as i32 as u32));
-                        }
-                        Instr::Addis { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra).wrapping_add((imm as i32 as u32) << 16));
-                        }
-                        Instr::Andi { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra) & imm as u32);
-                        }
-                        Instr::Ori { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra) | imm as u32);
-                        }
-                        Instr::Xori { rd, ra, imm } => {
-                            set_reg!(rd, reg!(ra) ^ imm as u32);
-                        }
-                        Instr::Cmpi { crf, ra, imm } => {
-                            let a = reg!(ra) as i32;
-                            let b = imm as i32;
-                            core.set_cr_field(crf, a < b, a > b, a == b);
-                        }
-                        Instr::Cmp { crf, ra, rb } => {
-                            let a = reg!(ra) as i32;
-                            let b = reg!(rb) as i32;
-                            core.set_cr_field(crf, a < b, a > b, a == b);
-                        }
-                        Instr::Alu { op, rd, ra, rb } => {
-                            let a = reg!(ra);
-                            let b = reg!(rb);
-                            let v = match op {
-                                AluOp::Add => a.wrapping_add(b),
-                                AluOp::Sub => a.wrapping_sub(b),
-                                AluOp::Mullw => (a as i32).wrapping_mul(b as i32) as u32,
-                                AluOp::Divw => {
-                                    if b == 0 {
-                                        commit!();
-                                        return Err((Trap::DivideByZero, pc));
-                                    }
-                                    (a as i32).wrapping_div(b as i32) as u32
-                                }
-                                AluOp::Divwu => {
-                                    if b == 0 {
-                                        commit!();
-                                        return Err((Trap::DivideByZero, pc));
-                                    }
-                                    a / b
-                                }
-                                AluOp::Remw => {
-                                    if b == 0 {
-                                        commit!();
-                                        return Err((Trap::DivideByZero, pc));
-                                    }
-                                    (a as i32).wrapping_rem(b as i32) as u32
-                                }
-                                AluOp::And => a & b,
-                                AluOp::Or => a | b,
-                                AluOp::Xor => a ^ b,
-                                AluOp::Nand => !(a & b),
-                                AluOp::Nor => !(a | b),
-                                AluOp::Slw => a.wrapping_shl(b & 31),
-                                AluOp::Srw => a.wrapping_shr(b & 31),
-                                AluOp::Sraw => ((a as i32).wrapping_shr(b & 31)) as u32,
-                                AluOp::Neg => (a as i32).wrapping_neg() as u32,
-                                AluOp::Not => !a,
-                            };
-                            set_reg!(rd, v);
-                        }
-                        Instr::Lwz { rd, ra, d } => {
-                            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
-                            insp.on_load_addr(c, pc, &mut addr);
-                            let mut v = mem_op!(mem.read_u32(addr));
-                            insp.on_load_value(c, pc, addr, &mut v);
-                            set_reg!(rd, v);
-                        }
-                        Instr::Lbz { rd, ra, d } => {
-                            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
-                            insp.on_load_addr(c, pc, &mut addr);
-                            let mut v = mem_op!(mem.read_u8(addr)) as u32;
-                            insp.on_load_value(c, pc, addr, &mut v);
-                            set_reg!(rd, v);
-                        }
-                        Instr::Stw { rs, ra, d } => {
-                            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
-                            insp.on_store_addr(c, pc, &mut addr);
-                            let mut v = reg!(rs);
-                            insp.on_store_value(c, pc, addr, &mut v);
-                            mem_op!(mem.write_u32(addr, v));
-                        }
-                        Instr::Stb { rs, ra, d } => {
-                            let mut addr = reg!(ra).wrapping_add(d as i32 as u32);
-                            insp.on_store_addr(c, pc, &mut addr);
-                            let mut v = reg!(rs) & 0xFF;
-                            insp.on_store_value(c, pc, addr, &mut v);
-                            mem_op!(mem.write_u8(addr, v as u8));
-                        }
+                    macro_rules! trap {
+                        ($t:expr) => {{
+                            commit!();
+                            return Err(($t, pc));
+                        }};
+                    }
+                    macro_rules! set_reg {
+                        ($rd:expr, $val:expr) => {{
+                            let mut v: u32 = $val;
+                            insp.on_reg_write(c, pc, $rd, &mut v);
+                            core.regs[($rd & 31) as usize] = v;
+                            if $rd == 1 && v < core.stack_floor {
+                                trap!(Trap::StackOverflow);
+                            }
+                        }};
+                    }
+                    straight_op!(
+                        instr, insp, c, pc, core, mem,
+                        set_reg, trap,
+                        after_store {},
                         Instr::B { off } => {
                             next_pc = pc.wrapping_add((off as u32).wrapping_mul(4));
                         }
@@ -1759,78 +1498,14 @@ impl Machine {
                         Instr::Blr => {
                             next_pc = core.lr;
                         }
-                        Instr::Mflr { rd } => {
-                            set_reg!(rd, core.lr);
-                        }
-                        Instr::Mtlr { ra } => {
-                            core.lr = reg!(ra);
-                        }
-                        Instr::Sc { call } => {
-                            match call {
-                                // Core-state transitions: the outer
-                                // scheduler must observe them. Re-sync and
-                                // take the seed path for this instruction.
-                                Syscall::Exit | Syscall::Barrier => {
-                                    commit!();
-                                    break 'tight true;
-                                }
-                                Syscall::PrintInt => {
-                                    let v = reg!(3) as i32;
-                                    output.extend_from_slice(v.to_string().as_bytes());
-                                }
-                                Syscall::PrintChar => {
-                                    output.push(reg!(3) as u8);
-                                }
-                                Syscall::PrintStr => {
-                                    let s = mem_op!(mem.read_cstr(reg!(3), 1 << 16));
-                                    output.extend_from_slice(&s);
-                                }
-                                Syscall::ReadInt => match input.ints.pop_front() {
-                                    Some(v) => {
-                                        reg!(3) = v as u32;
-                                        reg!(4) = 0;
-                                    }
-                                    None => {
-                                        reg!(3) = 0;
-                                        reg!(4) = 1;
-                                    }
-                                },
-                                Syscall::ReadByte => match input.bytes.pop_front() {
-                                    Some(b) => reg!(3) = b as u32,
-                                    None => reg!(3) = u32::MAX,
-                                },
-                                Syscall::Malloc => {
-                                    reg!(3) = alloc.malloc(reg!(3));
-                                }
-                                Syscall::Free => {
-                                    mem_op!(alloc.free(reg!(3)));
-                                }
-                                Syscall::CoreId => {
-                                    reg!(3) = c as u32;
-                                }
-                                Syscall::NumCores => {
-                                    reg!(3) = num_cores as u32;
-                                }
-                            }
-                            // The output cap is only checked where output
-                            // can grow, mirroring `Machine::step`: the
-                            // syscall instruction itself still retires.
-                            if output.len() > output_limit {
-                                left -= 1;
-                                insp.on_retire(c, pc);
-                                pc = next_pc;
-                                commit!();
-                                return Ok(Progress::OutputLimit);
-                            }
-                        }
-                        Instr::Halt => {
-                            // Rare: a core-state transition the outer
-                            // scheduler must observe. Re-sync and take the
-                            // seed path for this instruction.
+                        // Syscalls and `halt` touch machine state outside
+                        // the core (output, input tape, heap, scheduler):
+                        // re-sync and let the reference interpreter run them.
+                        Instr::Sc { .. } | Instr::Halt => {
                             commit!();
                             break 'tight true;
                         }
-                    }
+                    );
                     left -= 1;
                     insp.on_retire(c, pc);
                     pc = next_pc;
@@ -3079,6 +2754,22 @@ mod tests {
             "self-modified halt must execute under block dispatch, got {out:?}"
         );
         assert!(m.block_cache_stats().blocks_invalidated > 0);
+
+        // A `Profiler` keeps the default `block_quiescent` (false), so the
+        // store aborts the hooked block body: it must still retire exactly
+        // once, with the same retires as the reference interpreter.
+        let profiled = |reference: bool| {
+            let mut m = Machine::new(MachineConfig {
+                budget: 100_000,
+                ..MachineConfig::default()
+            });
+            m.set_reference_interp(reference);
+            m.load(&image);
+            let mut p = crate::inspect::Profiler::new();
+            let out = m.run(&mut p);
+            (out, m.retired(), p.retired, p.coverage())
+        };
+        assert_eq!(profiled(false), profiled(true));
     }
 
     #[test]

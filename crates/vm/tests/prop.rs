@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use swifi_vm::asm::{assemble, CodeBuilder};
-use swifi_vm::inspect::Noop;
+use swifi_vm::inspect::{FetchPolicy, Inspector, Noop};
 use swifi_vm::isa::{decode, encode, AluOp, CrBit, Instr, Syscall};
 use swifi_vm::machine::{Machine, MachineConfig, RunOutcome};
 use swifi_vm::mem::Allocator;
@@ -71,6 +71,101 @@ prop_compose! {
             _ => Instr::Halt,
         }
     }
+}
+
+/// One hook call as (kind, core, pc, value).
+type Hook = (u8, usize, u32, u32);
+
+/// The hooked-block-body inspector for the differential oracle.
+/// `FetchPolicy::None` keeps blocks on and the trait-default
+/// `block_quiescent` (false) sends every block through the hooked body.
+/// It logs every post-decode hook and retire — not `on_fetch`, which only
+/// the reference tier calls — and corrupts the register write-backs and
+/// load values of the PCs that `key` selects.
+struct HookLog {
+    key: u32,
+    log: Vec<Hook>,
+}
+
+impl HookLog {
+    fn corrupts(&self, pc: u32) -> bool {
+        (pc.wrapping_mul(0x9E37_79B9) ^ self.key) >> 29 == 0
+    }
+}
+
+impl Inspector for HookLog {
+    fn fetch_policy(&self) -> FetchPolicy {
+        FetchPolicy::None
+    }
+
+    fn on_load_addr(&mut self, core: usize, pc: u32, addr: &mut u32) {
+        self.log.push((0, core, pc, *addr));
+    }
+
+    fn on_load_value(&mut self, core: usize, pc: u32, _addr: u32, value: &mut u32) {
+        self.log.push((1, core, pc, *value));
+        if self.corrupts(pc) {
+            *value ^= self.key;
+        }
+    }
+
+    fn on_store_addr(&mut self, core: usize, pc: u32, addr: &mut u32) {
+        self.log.push((2, core, pc, *addr));
+    }
+
+    fn on_store_value(&mut self, core: usize, pc: u32, _addr: u32, value: &mut u32) {
+        self.log.push((3, core, pc, *value));
+    }
+
+    fn on_reg_write(&mut self, core: usize, pc: u32, _reg: u8, value: &mut u32) {
+        self.log.push((4, core, pc, *value));
+        if self.corrupts(pc) {
+            *value ^= self.key;
+        }
+    }
+
+    fn on_retire(&mut self, core: usize, pc: u32) {
+        self.log.push((5, core, pc, 0));
+    }
+}
+
+/// What one run shows: outcome, retired count, core 0's regs/pc/lr and
+/// the hook log.
+type Observation = (RunOutcome, u64, [u32; 32], u32, u32, Vec<Hook>);
+
+/// Run `image` on interpreter `tier` (0 blocks, 1 line cache only,
+/// 2 reference) under `insp`, once pristine and once after warm-rebooting
+/// and XOR-ing `mask` into the code word at `patch_addr` — where a stale
+/// translation would replay the unpatched block. `take_log` drains the
+/// inspector's hook log after each run.
+fn observe_tier<I: Inspector>(
+    image: &swifi_vm::Image,
+    tier: usize,
+    (patch_addr, mask): (u32, u32),
+    insp: &mut I,
+    take_log: impl Fn(&mut I) -> Vec<Hook>,
+) -> [Observation; 2] {
+    let mut m = Machine::new(MachineConfig {
+        budget: 20_000,
+        ..MachineConfig::default()
+    });
+    match tier {
+        0 => {}
+        1 => m.set_block_interp(false),
+        _ => m.set_reference_interp(true),
+    }
+    m.load(image);
+    let snap = m.snapshot();
+    let mut observe = |m: &mut Machine| {
+        let out = m.run(insp);
+        let c = m.core(0);
+        (out, m.retired(), c.regs, c.pc, c.lr, take_log(insp))
+    };
+    let pristine = observe(&mut m);
+    m.restore(&snap);
+    let old = m.peek_u32(patch_addr).unwrap();
+    m.poke_u32(patch_addr, old ^ mask).unwrap();
+    [pristine, observe(&mut m)]
 }
 
 proptest! {
@@ -164,40 +259,29 @@ proptest! {
     /// the retired-instruction count, and the final architectural state
     /// — both on the pristine program and after a mid-run code patch
     /// poked into a warm machine (where a stale translation would
-    /// replay the unpatched block).
+    /// replay the unpatched block). Under `Noop` blocks take the
+    /// hook-free body; under a `HookLog` (`hook_key` is `Some`) they take
+    /// the hooked body, and the tiers must also agree on every hook call
+    /// while some write-backs and loads are corrupted.
     #[test]
     fn block_interpreter_matches_reference_on_random_code(
         words in proptest::collection::vec(any::<u32>(), 1..128),
         patch_index in 0usize..128,
         patch_mask in 1u32..=u32::MAX,
+        hook_key in prop_oneof![Just(None), any::<u32>().prop_map(Some)],
     ) {
         let len = words.len();
         let image = swifi_vm::Image { code: words, data: vec![], entry: swifi_vm::CODE_BASE };
-        let cfg = MachineConfig { budget: 20_000, ..MachineConfig::default() };
-        let patch_addr = swifi_vm::CODE_BASE + ((patch_index % len) as u32) * 4;
-        let observe = |m: &Machine, out: RunOutcome| {
-            let c = m.core(0);
-            (out, m.retired(), c.regs, c.pc, c.lr)
-        };
-        let run = |tier: usize| {
-            let mut m = Machine::new(cfg.clone());
-            match tier {
-                0 => {}                              // blocks (default)
-                1 => m.set_block_interp(false),      // line cache only
-                _ => m.set_reference_interp(true),   // seed interpreter
-            }
-            m.load(&image);
-            let snap = m.snapshot();
-            let out = m.run(&mut Noop);
-            let pristine = observe(&m, out);
-            // Mid-campaign patch: warm-reboot the machine (translations
-            // survive the restore) and flip a code word before rerunning.
-            m.restore(&snap);
-            let old = m.peek_u32(patch_addr).unwrap();
-            m.poke_u32(patch_addr, old ^ patch_mask).unwrap();
-            let out = m.run(&mut Noop);
-            let patched = observe(&m, out);
-            (pristine, patched)
+        let patch = (swifi_vm::CODE_BASE + ((patch_index % len) as u32) * 4, patch_mask);
+        let run = |tier: usize| match hook_key {
+            None => observe_tier(&image, tier, patch, &mut Noop, |_| Vec::new()),
+            Some(key) => observe_tier(
+                &image,
+                tier,
+                patch,
+                &mut HookLog { key, log: Vec::new() },
+                |h| std::mem::take(&mut h.log),
+            ),
         };
         let blocks = run(0);
         prop_assert_eq!(&blocks, &run(1), "blocks vs line cache");

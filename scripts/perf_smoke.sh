@@ -16,10 +16,15 @@ fi
 TMP="$(mktemp -d)"
 trap 'rm -rf "$TMP"' EXIT
 filter() { grep -v -e '^throughput:' -e '^icache:' -e '^prefix-fork:' -e '^blocks:' -e '^phases:'; }
-for t in JB.team11 JB.team6; do
-  "$BIN" campaign "$t" --inputs 4 --seed 2024 | filter > "$TMP/on.txt" || exit 2
+# TARGET:INPUTS. C.team10 runs almost entirely inside translated blocks;
+# SOR is multi-core, so many of its instructions run per-instruction at
+# quantum tails. Together they cover every dispatch site of the cached
+# executor.
+for spec in JB.team11:4 JB.team6:4 C.team10:2 SOR:4; do
+  t="${spec%%:*}" n="${spec##*:}"
+  "$BIN" campaign "$t" --inputs "$n" --seed 2024 | filter > "$TMP/on.txt" || exit 2
   for flag in --no-prefix-fork --no-block-cache; do
-    "$BIN" campaign "$t" --inputs 4 --seed 2024 "$flag" | filter > "$TMP/off.txt" || exit 2
+    "$BIN" campaign "$t" --inputs "$n" --seed 2024 "$flag" | filter > "$TMP/off.txt" || exit 2
     if ! diff -u "$TMP/on.txt" "$TMP/off.txt"; then
       echo "perf_smoke: $t report differs between default and $flag" >&2
       exit 1
