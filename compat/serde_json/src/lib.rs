@@ -43,6 +43,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -159,9 +160,16 @@ fn write_string(out: &mut String, s: &str) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting the parser accepts (serde_json's limit).
+/// The parser recurses once per level, so without a bound a line of
+/// `[[[[…` from outside the process would overflow the stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -207,8 +215,22 @@ impl<'a> Parser<'a> {
             Some(b't') if self.literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => Ok(Value::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(Error(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    )));
+                }
+                self.depth += 1;
+                let v = if self.peek() == Some(b'[') {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.number(),
             other => Err(Error(format!("unexpected {other:?} at byte {}", self.pos))),
         }
@@ -367,9 +389,14 @@ impl<'a> Parser<'a> {
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| Error("bad number".to_string()))?;
         if is_float {
-            text.parse::<f64>()
-                .map(Value::F64)
-                .map_err(|e| Error(format!("bad number: {e}")))
+            // Like serde_json, refuse a float that overflows to infinity:
+            // the writer renders non-finite numbers as `null`, so one would
+            // not survive a round trip.
+            match text.parse::<f64>() {
+                Ok(f) if f.is_finite() => Ok(Value::F64(f)),
+                Ok(_) => Err(Error(format!("number out of range: {text}"))),
+                Err(e) => Err(Error(format!("bad number: {e}"))),
+            }
         } else if text.starts_with('-') {
             text.parse::<i64>()
                 .map(Value::I64)
@@ -441,7 +468,14 @@ mod tests {
 
     #[test]
     fn invalid_utf8_inside_a_string_errors() {
-        let parse = |bytes: &[u8]| Parser { bytes, pos: 0 }.string();
+        let parse = |bytes: &[u8]| {
+            Parser {
+                bytes,
+                pos: 0,
+                depth: 0,
+            }
+            .string()
+        };
         assert_eq!(parse(b"\"ok \xC3\xA9\"").unwrap(), "ok \u{e9}");
         for bad in [
             &b"\"ab\xFFcd\""[..],    // not a lead byte

@@ -10,7 +10,7 @@
 //! [`TriggerMode::IntrusiveTraps`] — the "insert trap instructions"
 //! fallback the paper calls *very intrusive*.
 
-use std::collections::HashMap;
+use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
@@ -153,9 +153,12 @@ impl PreparedWrites {
 #[derive(Debug)]
 pub struct Injector {
     specs: Vec<FaultSpec>,
-    by_fetch: HashMap<u32, Vec<usize>>,
-    by_load: HashMap<u32, Vec<usize>>,
-    by_store: HashMap<u32, Vec<usize>>,
+    /// Specs triggered by an opcode fetch, keyed by the fetch address.
+    by_fetch: Routes,
+    /// Specs triggered by a load, keyed by its effective address.
+    by_load: Routes,
+    /// Specs triggered by a store, keyed by its effective address.
+    by_store: Routes,
     temporal: Vec<usize>,
     always: Vec<usize>,
     memory_faults: Vec<usize>,
@@ -165,50 +168,78 @@ pub struct Injector {
     fired: Vec<u64>,
     retired: u64,
     rng: StdRng,
-    /// Exact trigger-address sets mirroring the `by_*` table keys, used by
-    /// the hooks to reject uninteresting fetches/loads/stores in a couple
-    /// of integer compares instead of a hash lookup per event. Purely an
-    /// accelerator: membership is exact, so dispatch is unchanged.
-    hot_fetch: AddrSet,
-    hot_load: AddrSet,
-    hot_store: AddrSet,
     /// When set, skip the fast-rejection filters and walk the dispatch
     /// tables on every event — the seed implementation's behaviour, kept
     /// for differential testing and as the benchmark baseline.
     reference_dispatch: bool,
 }
 
-/// A tiny exact address set: range pre-check plus a linear scan. Campaign
-/// fault sets carry at most a handful of trigger addresses (hardware mode
-/// allows two), so misses cost one or two compares.
-#[derive(Debug, Clone, Default)]
-struct AddrSet {
-    addrs: Vec<u32>,
+/// A small routing table from trigger addresses to spec indices: one
+/// `(address, spec)` entry per spec, sorted by address and, within an
+/// address, by spec index (the order the hooks act in). Campaign fault
+/// sets carry a handful of trigger addresses (hardware mode allows two),
+/// so a trigger arrival costs a range check, a short scan and a walk by
+/// index: no hashing, no allocation.
+#[derive(Debug, Clone)]
+struct Routes {
+    routes: Vec<(u32, usize)>,
     lo: u32,
     hi: u32,
 }
 
-impl AddrSet {
-    fn build(keys: impl Iterator<Item = u32>) -> AddrSet {
-        let mut addrs: Vec<u32> = keys.collect();
-        addrs.sort_unstable();
-        addrs.dedup();
-        let (lo, hi) = match (addrs.first(), addrs.last()) {
-            (Some(&lo), Some(&hi)) => (lo, hi),
+impl Routes {
+    fn build(mut routes: Vec<(u32, usize)>) -> Routes {
+        routes.sort_unstable();
+        let (lo, hi) = match (routes.first(), routes.last()) {
+            (Some(&(lo, _)), Some(&(hi, _))) => (lo, hi),
             // Empty: an impossible range so `contains` is always false.
             _ => (1, 0),
         };
-        AddrSet { addrs, lo, hi }
+        Routes { routes, lo, hi }
     }
 
+    fn is_empty(&self) -> bool {
+        self.routes.is_empty()
+    }
+
+    /// Whether any spec is routed at `a`: exact, and a couple of integer
+    /// compares for an address outside the table's range.
     #[inline(always)]
     fn contains(&self, a: u32) -> bool {
-        a >= self.lo && a <= self.hi && (self.addrs.len() == 1 || self.addrs.contains(&a))
+        a >= self.lo
+            && a <= self.hi
+            && (self.lo == self.hi || self.routes.iter().any(|&(addr, _)| addr == a))
     }
 
-    /// Conservative overlap test against `[first, last]` on the set's
-    /// bounding range: may report `true` when no member is actually inside
-    /// (which only costs a fast path), never `false` when one is.
+    /// The table indices routed at `a` (empty when none). Indices rather
+    /// than a borrowed slice, so the hooks can mutate the injector while
+    /// walking them.
+    #[inline]
+    fn find(&self, a: u32) -> Range<usize> {
+        let start = self.routes.partition_point(|&(addr, _)| addr < a);
+        let len = self.routes[start..]
+            .iter()
+            .take_while(|&&(addr, _)| addr == a)
+            .count();
+        start..start + len
+    }
+
+    /// The spec index of table entry `k`.
+    #[inline(always)]
+    fn spec(&self, k: usize) -> usize {
+        self.routes[k].1
+    }
+
+    /// The distinct routed addresses, ascending.
+    fn addrs(&self) -> Vec<u32> {
+        let mut addrs: Vec<u32> = self.routes.iter().map(|&(a, _)| a).collect();
+        addrs.dedup();
+        addrs
+    }
+
+    /// Conservative overlap test against `[first, last]` on the table's
+    /// bounding range: may report `true` when no address is actually
+    /// inside (which only costs a fast path), never `false` when one is.
     #[inline(always)]
     fn intersects_range(&self, first: u32, last: u32) -> bool {
         self.lo <= last && self.hi >= first
@@ -252,13 +283,28 @@ impl Injector {
             }
         }
         let n = specs.len();
-        let mut inj = Injector {
-            by_fetch: HashMap::new(),
-            by_load: HashMap::new(),
-            by_store: HashMap::new(),
-            temporal: Vec::new(),
-            always: Vec::new(),
-            memory_faults: Vec::new(),
+        let (mut fetch, mut load, mut store) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut temporal, mut always, mut memory_faults) = (Vec::new(), Vec::new(), Vec::new());
+        for (i, s) in specs.iter().enumerate() {
+            if matches!(s.target, Target::Memory(_)) {
+                memory_faults.push(i);
+                continue;
+            }
+            match s.trigger {
+                Trigger::OpcodeFetch(a) => fetch.push((a, i)),
+                Trigger::OperandLoad(a) => load.push((a, i)),
+                Trigger::OperandStore(a) => store.push((a, i)),
+                Trigger::AfterInstructions(_) => temporal.push(i),
+                Trigger::Always => always.push(i),
+            }
+        }
+        Ok(Injector {
+            by_fetch: Routes::build(fetch),
+            by_load: Routes::build(load),
+            by_store: Routes::build(store),
+            temporal,
+            always,
+            memory_faults,
             occurrences: vec![0; n],
             armed: vec![false; n],
             latched: vec![false; n],
@@ -266,28 +312,8 @@ impl Injector {
             retired: 0,
             rng: StdRng::seed_from_u64(seed),
             specs,
-            hot_fetch: AddrSet::default(),
-            hot_load: AddrSet::default(),
-            hot_store: AddrSet::default(),
             reference_dispatch: false,
-        };
-        for (i, s) in inj.specs.iter().enumerate() {
-            if matches!(s.target, Target::Memory(_)) {
-                inj.memory_faults.push(i);
-                continue;
-            }
-            match s.trigger {
-                Trigger::OpcodeFetch(a) => inj.by_fetch.entry(a).or_default().push(i),
-                Trigger::OperandLoad(a) => inj.by_load.entry(a).or_default().push(i),
-                Trigger::OperandStore(a) => inj.by_store.entry(a).or_default().push(i),
-                Trigger::AfterInstructions(_) => inj.temporal.push(i),
-                Trigger::Always => inj.always.push(i),
-            }
-        }
-        inj.hot_fetch = AddrSet::build(inj.by_fetch.keys().copied());
-        inj.hot_load = AddrSet::build(inj.by_load.keys().copied());
-        inj.hot_store = AddrSet::build(inj.by_store.keys().copied());
-        Ok(inj)
+        })
     }
 
     /// Disable (or re-enable) the hot-path address filters, falling back to
@@ -315,7 +341,8 @@ impl Injector {
     /// Propagates [`swifi_vm::Trap`] if a fault addresses unmapped memory.
     pub fn prepare(&mut self, machine: &mut Machine) -> Result<PreparedWrites, swifi_vm::Trap> {
         let mut writes = PreparedWrites::default();
-        for &i in &self.memory_faults.clone() {
+        for k in 0..self.memory_faults.len() {
+            let i = self.memory_faults[k];
             let spec = self.specs[i];
             if let Target::Memory(addr) = spec.target {
                 let old = machine.peek_u32(addr)?;
@@ -403,17 +430,16 @@ impl Inspector for Injector {
     /// occurrence counting and arming happen (a `Gpr`-target fault armed
     /// at a fetch address fires later in `on_reg_write` only if the fetch
     /// hook armed it). So the pin set is the `by_fetch` key set, not just
-    /// the instruction-bus faults. Temporal (`AfterInstructions`) and
-    /// `Always` triggers observe *every* fetch, and reference dispatch
-    /// promises seed-exact hook sequencing; those demand
-    /// [`FetchPolicy::All`].
+    /// the instruction-bus faults. The machine runs each armed PC inside
+    /// its translated blocks as a hooked trigger step. Temporal
+    /// (`AfterInstructions`) and `Always` triggers observe *every* fetch,
+    /// and reference dispatch promises seed-exact hook sequencing; those
+    /// demand [`FetchPolicy::All`].
     fn fetch_policy(&self) -> FetchPolicy {
         if self.reference_dispatch || !self.temporal.is_empty() || !self.always.is_empty() {
             return FetchPolicy::All;
         }
-        let mut pcs: Vec<u32> = self.by_fetch.keys().copied().collect();
-        pcs.sort_unstable();
-        FetchPolicy::Pcs(pcs)
+        FetchPolicy::Pcs(self.by_fetch.addrs())
     }
 
     #[inline]
@@ -421,7 +447,7 @@ impl Inspector for Injector {
         if !self.reference_dispatch
             && self.temporal.is_empty()
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
+            && !self.by_fetch.contains(pc)
         {
             return;
         }
@@ -432,8 +458,8 @@ impl Inspector for Injector {
     fn on_load_addr(&mut self, _core: usize, pc: u32, addr: &mut u32) {
         if !self.reference_dispatch
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
-            && !self.hot_load.contains(*addr)
+            && !self.by_fetch.contains(pc)
+            && !self.by_load.contains(*addr)
         {
             return;
         }
@@ -444,8 +470,8 @@ impl Inspector for Injector {
     fn on_load_value(&mut self, _core: usize, pc: u32, addr: u32, value: &mut u32) {
         if !self.reference_dispatch
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
-            && !self.hot_load.contains(addr)
+            && !self.by_fetch.contains(pc)
+            && !self.by_load.contains(addr)
         {
             return;
         }
@@ -456,8 +482,8 @@ impl Inspector for Injector {
     fn on_store_addr(&mut self, _core: usize, pc: u32, addr: &mut u32) {
         if !self.reference_dispatch
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
-            && !self.hot_store.contains(*addr)
+            && !self.by_fetch.contains(pc)
+            && !self.by_store.contains(*addr)
         {
             return;
         }
@@ -468,8 +494,8 @@ impl Inspector for Injector {
     fn on_store_value(&mut self, _core: usize, pc: u32, addr: u32, value: &mut u32) {
         if !self.reference_dispatch
             && self.always.is_empty()
-            && !self.hot_fetch.contains(pc)
-            && !self.hot_store.contains(addr)
+            && !self.by_fetch.contains(pc)
+            && !self.by_store.contains(addr)
         {
             return;
         }
@@ -478,7 +504,7 @@ impl Inspector for Injector {
 
     #[inline]
     fn on_reg_write(&mut self, _core: usize, pc: u32, reg: u8, value: &mut u32) {
-        if !self.reference_dispatch && !self.hot_fetch.contains(pc) {
+        if !self.reference_dispatch && !self.by_fetch.contains(pc) {
             return;
         }
         self.reg_write_slow(pc, reg, value);
@@ -489,21 +515,20 @@ impl Inspector for Injector {
         self.retired += 1;
     }
 
-    /// A translated block never contains a pinned (`by_fetch`) PC, so
-    /// inside one every hook above reduces to its fast-reject unless a
-    /// data-address trigger could match a load/store effective address
-    /// (`by_load`/`by_store`), an `Always` spec observes everything, or
-    /// reference dispatch demands seed-exact sequencing. Quiescence is
-    /// exactly the complement of those conditions; the `hot_fetch` range
-    /// check is a defensive overlap test (the translator already refuses
-    /// pinned words).
+    /// Outside the armed (`by_fetch`) PCs every hook above reduces to its
+    /// fast-reject unless a data-address trigger could match a load/store
+    /// effective address (`by_load`/`by_store`), an `Always` spec observes
+    /// everything, or reference dispatch demands seed-exact sequencing.
+    /// Quiescence is exactly the complement of those conditions plus a
+    /// conservative overlap test against the armed PCs (the machine never
+    /// asks about a block's trigger step, which runs with every hook).
     #[inline]
     fn block_quiescent(&self, _core: usize, first_pc: u32, last_pc: u32) -> bool {
         !self.reference_dispatch
             && self.always.is_empty()
             && self.by_load.is_empty()
             && self.by_store.is_empty()
-            && !self.hot_fetch.intersects_range(first_pc, last_pc)
+            && !self.by_fetch.intersects_range(first_pc, last_pc)
     }
 
     /// `on_retire` is a bare order-insensitive counter, so a quiescent
@@ -546,10 +571,8 @@ impl Injector {
                 self.fire_value(i, word);
             }
         }
-        let Some(idxs) = self.by_fetch.get(&pc) else {
-            return;
-        };
-        for i in idxs.clone() {
+        for k in self.by_fetch.find(pc) {
+            let i = self.by_fetch.spec(k);
             let fires = self.occur(i);
             self.armed[i] = fires;
             match self.specs[i].target {
@@ -571,115 +594,80 @@ impl Injector {
 
     #[inline(never)]
     fn load_addr_slow(&mut self, pc: u32, addr: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::LoadAddress) {
-                    self.fire_value(i, addr);
-                }
-            }
-        }
-        if let Some(idxs) = self.by_load.get(addr) {
-            for i in idxs.clone() {
-                let fires = self.occur(i);
-                self.armed[i] = fires;
-                if fires && matches!(self.specs[i].target, Target::LoadAddress) {
-                    self.fire_value(i, addr);
-                }
-            }
-        }
-        for k in 0..self.always.len() {
-            let i = self.always[k];
-            if self.armed[i] && matches!(self.specs[i].target, Target::LoadAddress) {
+        self.fire_armed_at(pc, Target::LoadAddress, addr);
+        for k in self.by_load.find(*addr) {
+            let i = self.by_load.spec(k);
+            let fires = self.occur(i);
+            self.armed[i] = fires;
+            if fires && self.specs[i].target == Target::LoadAddress {
                 self.fire_value(i, addr);
             }
         }
+        self.fire_armed_always(Target::LoadAddress, addr);
     }
 
     #[inline(never)]
     fn load_value_slow(&mut self, pc: u32, addr: u32, value: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::DataBusLoad) {
-                    self.fire_value(i, value);
-                }
-            }
-        }
-        if let Some(idxs) = self.by_load.get(&addr) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::DataBusLoad) {
-                    self.fire_value(i, value);
-                }
-            }
-        }
-        for k in 0..self.always.len() {
-            let i = self.always[k];
-            if self.armed[i] && matches!(self.specs[i].target, Target::DataBusLoad) {
+        self.fire_armed_at(pc, Target::DataBusLoad, value);
+        for k in self.by_load.find(addr) {
+            let i = self.by_load.spec(k);
+            if self.armed[i] && self.specs[i].target == Target::DataBusLoad {
                 self.fire_value(i, value);
             }
         }
+        self.fire_armed_always(Target::DataBusLoad, value);
     }
 
     #[inline(never)]
     fn store_addr_slow(&mut self, pc: u32, addr: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::StoreAddress) {
-                    self.fire_value(i, addr);
-                }
-            }
-        }
-        if let Some(idxs) = self.by_store.get(addr) {
-            for i in idxs.clone() {
-                let fires = self.occur(i);
-                self.armed[i] = fires;
-                if fires && matches!(self.specs[i].target, Target::StoreAddress) {
-                    self.fire_value(i, addr);
-                }
-            }
-        }
-        for k in 0..self.always.len() {
-            let i = self.always[k];
-            if self.armed[i] && matches!(self.specs[i].target, Target::StoreAddress) {
+        self.fire_armed_at(pc, Target::StoreAddress, addr);
+        for k in self.by_store.find(*addr) {
+            let i = self.by_store.spec(k);
+            let fires = self.occur(i);
+            self.armed[i] = fires;
+            if fires && self.specs[i].target == Target::StoreAddress {
                 self.fire_value(i, addr);
             }
         }
+        self.fire_armed_always(Target::StoreAddress, addr);
     }
 
     #[inline(never)]
     fn store_value_slow(&mut self, pc: u32, addr: u32, value: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::DataBusStore) {
-                    self.fire_value(i, value);
-                }
+        self.fire_armed_at(pc, Target::DataBusStore, value);
+        for k in self.by_store.find(addr) {
+            let i = self.by_store.spec(k);
+            if self.armed[i] && self.specs[i].target == Target::DataBusStore {
+                self.fire_value(i, value);
             }
         }
-        if let Some(idxs) = self.by_store.get(&addr) {
-            for i in idxs.clone() {
-                if self.armed[i] && matches!(self.specs[i].target, Target::DataBusStore) {
-                    self.fire_value(i, value);
-                }
-            }
-        }
-        for k in 0..self.always.len() {
-            let i = self.always[k];
-            if self.armed[i] && matches!(self.specs[i].target, Target::DataBusStore) {
+        self.fire_armed_always(Target::DataBusStore, value);
+    }
+
+    #[inline(never)]
+    fn reg_write_slow(&mut self, pc: u32, reg: u8, value: &mut u32) {
+        self.fire_armed_at(pc, Target::Gpr(reg), value);
+    }
+
+    /// Fire every fetch-triggered spec at `pc` that its fetch armed and
+    /// that corrupts `target`.
+    #[inline]
+    fn fire_armed_at(&mut self, pc: u32, target: Target, value: &mut u32) {
+        for k in self.by_fetch.find(pc) {
+            let i = self.by_fetch.spec(k);
+            if self.armed[i] && self.specs[i].target == target {
                 self.fire_value(i, value);
             }
         }
     }
 
-    #[inline(never)]
-    fn reg_write_slow(&mut self, pc: u32, reg: u8, value: &mut u32) {
-        if let Some(idxs) = self.by_fetch.get(&pc) {
-            for i in idxs.clone() {
-                if self.armed[i] {
-                    if let Target::Gpr(r) = self.specs[i].target {
-                        if r == reg {
-                            self.fire_value(i, value);
-                        }
-                    }
-                }
+    /// Fire every armed `Always` spec that corrupts `target`.
+    #[inline]
+    fn fire_armed_always(&mut self, target: Target, value: &mut u32) {
+        for k in 0..self.always.len() {
+            let i = self.always[k];
+            if self.armed[i] && self.specs[i].target == target {
+                self.fire_value(i, value);
             }
         }
     }

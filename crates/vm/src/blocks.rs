@@ -24,9 +24,16 @@
 //!   ([`Term::Fallthrough`]); the instruction itself executes on
 //!   `Machine::step`, the reference interpreter, which owns every
 //!   syscall and scheduler state change;
-//! * an unavailable line (pinned PC, illegal word, PC outside the cached
-//!   region) — the block ends before it and the slow fetch path takes
-//!   over, preserving fetch corruption, fetch breakpoints, and precise
+//! * a trigger PC armed by the inspector's
+//!   [`FetchPolicy::Pcs`](crate::inspect::FetchPolicy::Pcs) — the block
+//!   ends *with* it as a hooked trigger step ([`Term::Trigger`]): the
+//!   executor offers the word to `on_fetch` and runs what comes back
+//!   with every hook, so a trigger inside a hot loop keeps the loop on
+//!   the block tier (an armed word that does not decode ends the block
+//!   before it instead);
+//! * an unavailable line (fetch-breakpoint pin, illegal word, PC outside
+//!   the cached region) — the block ends before it and the slow fetch
+//!   path takes over, preserving fetch breakpoints and precise
 //!   illegal-instruction traps;
 //! * the block length cap ([`MAX_BLOCK_OPS`]), bounding translation cost
 //!   and quantum interaction.
@@ -43,7 +50,9 @@
 //! the one copy of the straight-line semantics it shares with its
 //! per-instruction line-cache loop: hook-free (with `Noop` as the
 //! inspector) when the inspector vouches the block is quiescent, hooked
-//! otherwise.
+//! otherwise. A [`Term::Trigger`] is never part of the quiescent range:
+//! the body before it may run hook-free, the trigger step itself runs on
+//! the per-instruction dispatch with the fetched word.
 //!
 //! # Invalidation
 //!
@@ -57,7 +66,7 @@
 //! aborts the block at that point, so self-modifying code observes its own
 //! writes exactly like the per-instruction interpreters.
 
-use crate::isa::{CrBit, Instr};
+use crate::isa::{self, CrBit, Instr};
 use crate::mem::{Memory, CODE_BASE};
 
 /// Maximum straight-line instructions per translated block. Bounds the cost
@@ -80,13 +89,13 @@ pub struct BlockCacheStats {
     pub blocks_built: u64,
     /// Dispatches served by an already-translated block.
     pub block_hits: u64,
-    /// Instructions retired through block dispatch (the numerator of the
-    /// "how much ran on the fast path" ratio; the denominator is the
-    /// session's total retired count).
+    /// Instructions retired through block dispatch, trigger steps
+    /// included (the numerator of the "how much ran on the fast path"
+    /// ratio; the denominator is the session's total retired count).
     pub block_instrs: u64,
     /// Dispatches that fell back to the per-instruction cached/slow paths
-    /// while the block interpreter was active (syscalls, pinned PCs,
-    /// quantum tails, untranslatable words).
+    /// while the block interpreter was active (syscalls, fetch-breakpoint
+    /// PCs, quantum tails, untranslatable words).
     pub fallback_dispatches: u64,
     /// Blocks killed by a write into code they cover, by a fetch-pin
     /// change, or by a whole-cache flush.
@@ -182,6 +191,17 @@ pub(crate) enum Term {
     },
     /// Return through the link register (`blr`); the target is dynamic.
     Return,
+    /// An armed trigger PC (the block's last word): the executor counts a
+    /// slow fetch, offers `word` to `on_fetch`, and runs `instr` if the
+    /// word comes back unchanged, else the decoding of the corrupted word
+    /// — with every per-instruction hook, exactly as `Machine::step`
+    /// would.
+    Trigger {
+        /// The code word at the trigger PC.
+        word: u32,
+        /// `word` decoded.
+        instr: Instr,
+    },
     /// The block ends without a control transfer: the next word is a
     /// syscall/halt, unavailable (pinned/illegal/out of range), or the
     /// length cap was hit. Execution continues at `next` on the
@@ -196,7 +216,11 @@ impl Term {
     /// Instructions the terminator retires.
     fn ops(&self) -> u32 {
         match self {
-            Term::Jump { .. } | Term::Call { .. } | Term::CondJump { .. } | Term::Return => 1,
+            Term::Jump { .. }
+            | Term::Call { .. }
+            | Term::CondJump { .. }
+            | Term::Return
+            | Term::Trigger { .. } => 1,
             Term::CmpiCondJump { .. } => 2,
             Term::Fallthrough { .. } => 0,
         }
@@ -226,12 +250,15 @@ impl Block {
         self.first_word <= last && first < self.first_word + self.word_len
     }
 
-    /// PC of the last code word the block covers (its terminator word, or
-    /// the last body word for [`Term::Fallthrough`]). With the block's
-    /// start PC this bounds the range an `Inspector::block_quiescent`
-    /// query must vouch for.
-    pub(crate) fn last_pc(&self) -> u32 {
-        CODE_BASE + (self.first_word + self.word_len - 1) * 4
+    /// PC of the last code word the block runs without per-instruction
+    /// hooks: its terminator word, the last body word for
+    /// [`Term::Fallthrough`], or the word before a [`Term::Trigger`]
+    /// (below the start PC when the block is the trigger alone). With the
+    /// block's start PC this bounds the range an
+    /// `Inspector::block_quiescent` query must vouch for.
+    pub(crate) fn last_quiet_pc(&self) -> u32 {
+        let words = self.word_len - u32::from(matches!(self.term, Term::Trigger { .. }));
+        (CODE_BASE + (self.first_word + words) * 4).wrapping_sub(4)
     }
 }
 
@@ -328,6 +355,15 @@ impl BlockStore {
                 break Term::Fallthrough { next: cur };
             }
             let Some(instr) = mem.fetch_decoded(cur) else {
+                // An armed trigger PC ends the block as its trigger step,
+                // unless its word is illegal (the slow path raises the
+                // precise trap after `on_fetch`).
+                if let Some(word) = mem.armed_word(cur) {
+                    if let Ok(instr) = isa::decode(word) {
+                        cur = cur.wrapping_add(4);
+                        break Term::Trigger { word, instr };
+                    }
+                }
                 break Term::Fallthrough { next: cur };
             };
             match instr {
@@ -620,6 +656,70 @@ mod tests {
         assert!(cache2
             .store
             .lookup_or_translate(CODE_BASE, &mut mem2, &mut cache2.stats)
+            .is_none());
+    }
+
+    #[test]
+    fn armed_pc_ends_a_block_as_its_trigger_step() {
+        let halt = isa::encode(Instr::Halt);
+        let mut mem = code_mem(&[addi(3, 0, 1), addi(4, 0, 2), addi(5, 0, 3), halt]);
+        mem.arm_fetch(CODE_BASE + 4);
+        mem.arm_fetch(CODE_BASE + 12);
+        let mut cache = BlockCache::default();
+        cache.init(4);
+        let b = cache
+            .store
+            .lookup_or_translate(CODE_BASE, &mut mem, &mut cache.stats)
+            .unwrap();
+        assert_eq!(b.cost, 2, "body op plus the trigger step");
+        assert_eq!(
+            b.term,
+            Term::Trigger {
+                word: addi(4, 0, 2),
+                instr: Instr::Addi {
+                    rd: 4,
+                    ra: 0,
+                    imm: 2
+                },
+            }
+        );
+        // The trigger step is outside the range that may run hook-free.
+        assert_eq!(b.last_quiet_pc(), CODE_BASE);
+        // A block may be the trigger step alone.
+        let b = cache
+            .store
+            .lookup_or_translate(CODE_BASE + 4, &mut mem, &mut cache.stats)
+            .unwrap();
+        assert_eq!(b.cost, 1);
+        assert!(b.last_quiet_pc() < CODE_BASE + 4);
+        // An armed halt is a trigger step too (the executor hands it to
+        // `Machine::execute`); an armed illegal word ends the block before it.
+        let b = cache
+            .store
+            .lookup_or_translate(CODE_BASE + 8, &mut mem, &mut cache.stats)
+            .unwrap();
+        assert_eq!(
+            b.term,
+            Term::Trigger {
+                word: halt,
+                instr: Instr::Halt
+            }
+        );
+        mem.write_u32(CODE_BASE + 12, 0).unwrap();
+        cache.store.invalidate_words(3, 3, &mut cache.stats);
+        let b = cache
+            .store
+            .lookup_or_translate(CODE_BASE + 8, &mut mem, &mut cache.stats)
+            .unwrap();
+        assert_eq!(
+            b.term,
+            Term::Fallthrough {
+                next: CODE_BASE + 12
+            }
+        );
+        assert!(cache
+            .store
+            .lookup_or_translate(CODE_BASE + 12, &mut mem, &mut cache.stats)
             .is_none());
     }
 

@@ -20,8 +20,8 @@
 /// *before* decode, so it is the only one the decoded-line fast path cannot
 /// service: a cached line was decoded from the pristine code word and
 /// replaying it would silently skip an [`Inspector::on_fetch`] corruption.
-/// The policy tells [`crate::Machine::run`] which PCs must stay on the slow
-/// fetch→hook→decode path.
+/// The policy tells [`crate::Machine::run`] which PCs must go through the
+/// fetch→hook→decode sequence on every arrival.
 ///
 /// All post-decode hooks (`on_load_*`, `on_store_*`, `on_reg_write`,
 /// `on_retire`) are unaffected: they fire identically on both paths.
@@ -30,8 +30,11 @@ pub enum FetchPolicy {
     /// The inspector never mutates fetched words; every PC may execute from
     /// the decoded-line cache and `on_fetch` is never called.
     None,
-    /// Only the listed PCs can be corrupted at fetch time; the machine pins
-    /// them to the slow path and dispatches every other PC from the cache.
+    /// Only the listed PCs can be corrupted at fetch time. Every other PC
+    /// dispatches from the cache; each listed PC runs as a hooked trigger
+    /// step at the end of its translated block (one slow fetch offered to
+    /// `on_fetch`, then the fetched word with every hook), or on the slow
+    /// path when blocks are off.
     Pcs(Vec<u32>),
     /// Any PC may be corrupted (or the inspector wants to observe every
     /// fetch, e.g. tracing); the machine disables the cache for the run.

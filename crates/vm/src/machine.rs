@@ -290,6 +290,17 @@ enum Progress {
     Breakpoint,
 }
 
+/// Why a tight segment of `Machine::run_quantum` ended.
+enum SegmentEnd {
+    /// The quantum or budget countdown ran out.
+    Exhausted,
+    /// The pc needs the full fetch path: run it on `Machine::step`.
+    Step,
+    /// A syscall or `halt`, already fetched (and offered to `on_fetch` when
+    /// it came from a trigger step): run it on `Machine::execute`.
+    Execute(Instr),
+}
+
 /// How a [`Machine::run_inner`] loop ended: a finished run, or a pause at
 /// the armed fetch breakpoint.
 enum RunControl {
@@ -864,23 +875,24 @@ impl Machine {
     }
 
     /// Install `policy` for the coming run: drop pins from the previous
-    /// run, then pin the PCs the new inspector may corrupt at fetch time.
+    /// run, then arm the PCs the new inspector may corrupt at fetch time.
+    /// PCs armed by both runs stay armed untouched, so the blocks that end
+    /// in their trigger steps survive from one run to the next.
     fn apply_fetch_policy(&mut self, policy: FetchPolicy) {
-        let old = std::mem::take(&mut self.pinned_pcs);
-        for pc in old {
-            self.mem.unpin_fetch(pc);
-        }
-        match policy {
-            FetchPolicy::None => self.pin_all = false,
-            FetchPolicy::All => self.pin_all = true,
-            FetchPolicy::Pcs(pcs) => {
-                self.pin_all = false;
-                for &pc in &pcs {
-                    self.mem.pin_fetch_slow(pc);
-                }
-                self.pinned_pcs = pcs;
+        self.pin_all = policy == FetchPolicy::All;
+        let pcs = match policy {
+            FetchPolicy::Pcs(pcs) => pcs,
+            FetchPolicy::None | FetchPolicy::All => Vec::new(),
+        };
+        for &pc in &self.pinned_pcs {
+            if !pcs.contains(&pc) {
+                self.mem.unpin_fetch(pc);
             }
         }
+        for &pc in &pcs {
+            self.mem.arm_fetch(pc);
+        }
+        self.pinned_pcs = pcs;
     }
 
     /// Execute until completion, trap, or budget/output exhaustion.
@@ -1084,16 +1096,21 @@ impl Machine {
     /// The machine's borrows are split once per tight segment, the
     /// program counter lives in a register, and register indices are
     /// masked to elide bounds checks. The three dispatch sites — the
-    /// hook-free block body, the hooked block body and the line-cache
-    /// loop — each expand the one [`straight_op!`] copy of the
-    /// straight-line semantics. Anything that needs the full machine (a
-    /// slow fetch for a pinned PC, a missing or illegal line or a PC
-    /// outside the cache; a syscall; a halt) ends the segment and runs on
-    /// [`Machine::step`], the reference interpreter, for exactly one
-    /// instruction. A block that cannot represent a PC, or would overrun
-    /// the quantum or budget countdown, falls through to the line-cache
-    /// loop. Observables and accounting are therefore the reference's; the
-    /// differential property suite pins the equivalence.
+    /// hook-free block body, the hooked block body and the per-instruction
+    /// dispatch — each expand the one [`straight_op!`] copy of the
+    /// straight-line semantics. The per-instruction dispatch runs both
+    /// line-cache instructions and the trigger step a block ends with
+    /// ([`Term::Trigger`]): one slow fetch offered to `on_fetch`, then the
+    /// fetched word with every hook. Anything that needs the full machine
+    /// ends the segment for exactly one instruction: a slow fetch for a
+    /// fetch-breakpoint or armed PC off the block path, a missing or
+    /// illegal line or a PC outside the cache runs on [`Machine::step`],
+    /// the reference interpreter; a syscall or halt, already fetched, runs
+    /// on its execute half [`Machine::execute`]. A block that cannot
+    /// represent a PC, or would overrun the quantum or budget countdown,
+    /// falls through to the per-instruction dispatch. Observables and
+    /// accounting are therefore the reference's; the differential property
+    /// suite pins the equivalence.
     fn run_quantum<I: Inspector, const BLOCKS: bool>(
         &mut self,
         c: usize,
@@ -1111,7 +1128,7 @@ impl Machine {
         let budget = self.config.budget;
         let mut steps: u32 = 0;
         while steps < quantum {
-            let slow = 'tight: {
+            let end = 'tight: {
                 let Machine {
                     cores,
                     mem,
@@ -1148,8 +1165,15 @@ impl Machine {
                         core.pc = pc;
                     }};
                 }
-                while left > 0 {
-                    if BLOCKS {
+                'dispatch: while left > 0 {
+                    // The trigger step a block ended with, left for the
+                    // per-instruction dispatch below: the code word at `pc`
+                    // and its decoding.
+                    let mut trigger: Option<(u32, Instr)> = None;
+                    'block: {
+                        if !BLOCKS {
+                            break 'block;
+                        }
                         // Apply pending code writes (injector pokes, guest
                         // stores, restore diffs, pin changes) to the block
                         // cache before trusting any translation.
@@ -1173,7 +1197,10 @@ impl Machine {
                                 // Block ops are contiguous by construction,
                                 // so the PC of sub-op `i` is `bstart + 4·i`.
                                 let bstart = pc;
-                                if insp.block_quiescent(c, pc, blk.last_pc()) {
+                                // A block that is only a trigger step has no
+                                // quiet range to ask about.
+                                let quiet_last = blk.last_quiet_pc();
+                                if quiet_last >= bstart && insp.block_quiescent(c, pc, quiet_last) {
                                     // Hook-free body: the inspector has
                                     // vouched (see `Inspector::block_quiescent`)
                                     // that every per-instruction hook over
@@ -1248,7 +1275,7 @@ impl Machine {
                                         blk_stats.block_instrs += u64::from(done_ops);
                                         left += cost - u64::from(done_ops);
                                         pc = bstart.wrapping_add(done_ops.wrapping_mul(4));
-                                        continue;
+                                        continue 'dispatch;
                                     }
                                     match blk.term {
                                         Term::Jump { target } => pc = target,
@@ -1288,12 +1315,23 @@ impl Machine {
                                             };
                                         }
                                         Term::Return => pc = core.lr,
+                                        Term::Trigger { word, instr } => {
+                                            // The body retired hook-free; the
+                                            // trigger step is the next
+                                            // per-instruction dispatch.
+                                            insp.on_block_retire(c, bstart, done_ops);
+                                            blk_stats.block_instrs += u64::from(done_ops);
+                                            left += 1;
+                                            pc = bstart.wrapping_add(done_ops.wrapping_mul(4));
+                                            trigger = Some((word, instr));
+                                            break 'block;
+                                        }
                                         Term::Fallthrough { next } => pc = next,
                                     }
                                     debug_assert!(u64::from(done_ops) <= cost);
                                     insp.on_block_retire(c, bstart, blk.cost);
                                     blk_stats.block_instrs += cost;
-                                    continue;
+                                    continue 'dispatch;
                                 }
                                 // Hooked body: `bpc` tracks the architectural
                                 // PC of the in-flight sub-op; `done_ops`
@@ -1381,7 +1419,7 @@ impl Machine {
                                 }
                                 if store_abort {
                                     settle!();
-                                    continue;
+                                    continue 'dispatch;
                                 }
                                 match blk.term {
                                     Term::Jump { target } => {
@@ -1437,27 +1475,28 @@ impl Machine {
                                         insp.on_retire(c, bpc);
                                         done_ops += 1;
                                     }
+                                    Term::Trigger { word, instr } => {
+                                        // The trigger step is the next
+                                        // per-instruction dispatch.
+                                        blk_stats.block_instrs += done_ops;
+                                        left += 1;
+                                        pc = bpc;
+                                        trigger = Some((word, instr));
+                                        break 'block;
+                                    }
                                     Term::Fallthrough { next } => {
                                         pc = next;
                                     }
                                 }
                                 debug_assert_eq!(done_ops, cost);
                                 blk_stats.block_instrs += cost;
-                                continue;
+                                continue 'dispatch;
                             }
                         }
                         // No usable block at this PC (or it would overrun
                         // the countdown): one per-instruction dispatch.
                         blk_stats.fallback_dispatches += 1;
                     }
-                    let instr = match mem.fetch_decoded(pc) {
-                        Some(i) => i,
-                        None => {
-                            commit!();
-                            break 'tight true;
-                        }
-                    };
-                    let mut next_pc = pc.wrapping_add(4);
                     macro_rules! trap {
                         ($t:expr) => {{
                             commit!();
@@ -1474,6 +1513,31 @@ impl Machine {
                             }
                         }};
                     }
+                    let instr = match trigger {
+                        // The trigger step: this arrival's one slow fetch,
+                        // exactly as `Machine::step` makes it.
+                        Some((word, decoded)) => {
+                            mem.note_slow_fetch();
+                            let mut fetched = word;
+                            insp.on_fetch(c, pc, &mut fetched);
+                            if fetched == word {
+                                decoded
+                            } else {
+                                match isa::decode(fetched) {
+                                    Ok(i) => i,
+                                    Err(e) => trap!(Trap::IllegalInstruction { word: e.word }),
+                                }
+                            }
+                        }
+                        None => match mem.fetch_decoded(pc) {
+                            Some(i) => i,
+                            None => {
+                                commit!();
+                                break 'tight SegmentEnd::Step;
+                            }
+                        },
+                    };
+                    let mut next_pc = pc.wrapping_add(4);
                     straight_op!(
                         instr, insp, c, pc, core, mem,
                         set_reg, trap,
@@ -1500,24 +1564,30 @@ impl Machine {
                         }
                         // Syscalls and `halt` touch machine state outside
                         // the core (output, input tape, heap, scheduler):
-                        // re-sync and let the reference interpreter run them.
+                        // re-sync and let the reference interpreter's
+                        // execute half run the already-fetched instruction.
                         Instr::Sc { .. } | Instr::Halt => {
                             commit!();
-                            break 'tight true;
+                            break 'tight SegmentEnd::Execute(instr);
                         }
                     );
                     left -= 1;
                     insp.on_retire(c, pc);
+                    if trigger.is_some() {
+                        blk_stats.block_instrs += 1;
+                    }
                     pc = next_pc;
                 }
                 commit!();
-                false
+                SegmentEnd::Exhausted
             };
-            if !slow {
+            let progress = match end {
                 // Quantum or budget exhausted; the outer scheduler decides.
-                return Ok(Progress::Continue);
-            }
-            match self.step(c, insp)? {
+                SegmentEnd::Exhausted => return Ok(Progress::Continue),
+                SegmentEnd::Step => self.step(c, insp)?,
+                SegmentEnd::Execute(instr) => self.execute(c, instr, insp)?,
+            };
+            match progress {
                 Progress::Continue => steps += 1,
                 p => return Ok(p),
             }
@@ -1542,6 +1612,8 @@ impl Machine {
         isa::decode(word).map_err(|e| (Trap::IllegalInstruction { word: e.word }, pc))
     }
 
+    /// The reference interpreter: fetch the instruction at core `c`'s pc
+    /// (checking the fetch breakpoint first), then [`Machine::execute`] it.
     fn step<I: Inspector>(&mut self, c: usize, insp: &mut I) -> Result<Progress, (Trap, u32)> {
         let pc = self.cores[c].pc;
         // Fetch breakpoint (`run_to_fetch`): checked before the fetch so a
@@ -1568,6 +1640,19 @@ impl Machine {
                 None => self.fetch_slow(c, pc, insp)?,
             }
         };
+        self.execute(c, instr, insp)
+    }
+
+    /// The execute half of [`Machine::step`]: run the already-fetched
+    /// `instr` at core `c`'s pc with every post-decode hook, then retire
+    /// it.
+    fn execute<I: Inspector>(
+        &mut self,
+        c: usize,
+        instr: Instr,
+        insp: &mut I,
+    ) -> Result<Progress, (Trap, u32)> {
+        let pc = self.cores[c].pc;
         let mut next_pc = pc.wrapping_add(4);
         let mut progress = Progress::Continue;
 
@@ -2693,6 +2778,115 @@ mod tests {
         let blocked = run_mode(true, false);
         assert_eq!(blocked, run_mode(false, false));
         assert_eq!(blocked, run_mode(false, true));
+    }
+
+    #[test]
+    fn armed_pc_in_a_loop_retires_inside_blocks() {
+        use crate::inspect::FetchPolicy;
+        use crate::isa::encode;
+        // A ten-iteration loop whose body holds the armed PC 0x108. Each
+        // arrival is corrupted per `corrupt(arrival)`: into another
+        // straight-line op, into `halt` (handed to `execute`), or into an
+        // illegal word (a trap at the trigger PC).
+        struct ArmLoop {
+            corrupt: fn(u32) -> u32,
+            arrivals: u32,
+            log: Vec<(u8, u32, u32)>,
+        }
+        impl Inspector for ArmLoop {
+            fn fetch_policy(&self) -> FetchPolicy {
+                FetchPolicy::Pcs(vec![0x108])
+            }
+            fn on_fetch(&mut self, _c: usize, pc: u32, word: &mut u32) {
+                // The reference tier offers every fetch.
+                if pc != 0x108 {
+                    return;
+                }
+                self.arrivals += 1;
+                self.log.push((0, pc, *word));
+                *word = (self.corrupt)(self.arrivals);
+            }
+            fn on_reg_write(&mut self, _c: usize, pc: u32, _reg: u8, value: &mut u32) {
+                self.log.push((1, pc, *value));
+            }
+            fn on_retire(&mut self, _c: usize, pc: u32) {
+                self.log.push((2, pc, 0));
+            }
+        }
+        let src = "
+            addi r5, r0, 10
+            addi r6, r0, 0
+            addi r6, r6, 1
+            addi r5, r5, -1
+            cmpi cr0, r5, 0
+            bc cr0.gt, 1, -3
+            mr r3, r6
+            sc print_int
+            li r3, 0
+            halt";
+        let image = assemble(src).unwrap();
+        fn add2() -> u32 {
+            encode(Instr::Addi {
+                rd: 6,
+                ra: 6,
+                imm: 2,
+            })
+        }
+        let cases: [fn(u32) -> u32; 3] = [
+            |_| add2(),
+            |n| if n == 5 { encode(Instr::Halt) } else { add2() },
+            |n| if n == 3 { 0 } else { add2() },
+        ];
+        for (k, corrupt) in cases.into_iter().enumerate() {
+            let run_mode = |blocks: bool, reference: bool| {
+                let mut m = Machine::new(MachineConfig::default());
+                m.set_block_interp(blocks);
+                m.set_reference_interp(reference);
+                m.load(&image);
+                let mut insp = ArmLoop {
+                    corrupt,
+                    arrivals: 0,
+                    log: Vec::new(),
+                };
+                let out = m.run(&mut insp);
+                let stats = (m.decode_cache_stats(), m.block_cache_stats());
+                ((out, m.retired(), insp.log), stats)
+            };
+            let (blocked, (icache, blk)) = run_mode(true, false);
+            let (cached, (cached_icache, _)) = run_mode(false, false);
+            assert_eq!(blocked, cached, "case {k}: blocks vs line cache");
+            assert_eq!(
+                blocked,
+                run_mode(false, true).0,
+                "case {k}: blocks vs reference"
+            );
+            assert_eq!(icache.slow_fetches, cached_icache.slow_fetches, "case {k}");
+            let retired = blocked.1;
+            match k {
+                0 => {
+                    assert_eq!(blocked.0.output(), b"20");
+                    assert_eq!(icache.slow_fetches, 10, "one slow fetch per arrival");
+                    // Only the syscall and the halt leave the block tier.
+                    assert_eq!(blk.fallback_dispatches, 2);
+                    assert_eq!(blk.block_instrs, retired - 2);
+                }
+                1 => {
+                    assert!(matches!(blocked.0, RunOutcome::Completed { .. }));
+                    assert_eq!(blk.block_instrs, retired - 1, "the halt ran on execute");
+                }
+                _ => {
+                    assert!(matches!(
+                        blocked.0,
+                        RunOutcome::Trapped {
+                            trap: Trap::IllegalInstruction { word: 0 },
+                            pc: 0x108,
+                            ..
+                        }
+                    ));
+                    assert_eq!(blk.block_instrs, retired);
+                }
+            }
+        }
     }
 
     #[test]

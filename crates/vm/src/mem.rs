@@ -68,10 +68,18 @@ enum Line {
     Decoded(Instr),
     /// The word does not decode; the slow path re-raises the precise trap.
     Illegal,
-    /// An inspector may corrupt fetches from this PC: always take the slow
-    /// path. Pins survive invalidation — a guest store to a pinned address
-    /// changes the word but not the fact that the PC is armed.
+    /// A fetch breakpoint sits on this PC: always take the slow path, so
+    /// every arrival reaches `Machine::step`, which counts it. Pins survive
+    /// invalidation — a guest store to a pinned address changes the word
+    /// but not the fact that the PC is pinned.
     Pinned,
+    /// An inspector may corrupt fetches from this PC (a trigger PC of its
+    /// [`FetchPolicy::Pcs`](crate::inspect::FetchPolicy::Pcs) set). The
+    /// per-instruction paths treat it like [`Line::Pinned`]; the block
+    /// translator ends a block with a hooked trigger step that calls
+    /// `on_fetch` on the word (see `crate::blocks`). Survives invalidation
+    /// like a pin.
+    Armed,
 }
 
 /// Lazily built predecoded instruction cache over the code region.
@@ -480,8 +488,19 @@ impl Memory {
             None => None,
             Some(Line::Decoded(i)) => Some(i),
             Some(Line::Empty) => self.build_line(pc, idx),
-            Some(Line::Illegal) | Some(Line::Pinned) => None,
+            Some(Line::Illegal) | Some(Line::Pinned) | Some(Line::Armed) => None,
         }
+    }
+
+    /// The code word at `pc` if its line is armed by the inspector's fetch
+    /// policy ([`Memory::arm_fetch`]), else `None`. The block translator
+    /// reads trigger words through this.
+    pub(crate) fn armed_word(&self, pc: u32) -> Option<u32> {
+        let off = pc.wrapping_sub(CODE_BASE);
+        if off & 3 != 0 || self.icache.lines.get((off >> 2) as usize) != Some(&Line::Armed) {
+            return None;
+        }
+        self.read_u32(pc).ok()
     }
 
     /// Decode the code word at `pc` into line `idx` (first touch after
@@ -531,30 +550,47 @@ impl Memory {
                     *line = Line::Empty;
                     self.icache.stats.lines_invalidated += 1;
                 }
-                Line::Empty | Line::Pinned => {}
+                Line::Empty | Line::Pinned | Line::Armed => {}
             }
         }
     }
 
-    /// Pin `pc` to the slow fetch path (an inspector may corrupt fetches
-    /// from it). No-op outside the cached region — the slow path already
-    /// covers such PCs.
-    pub(crate) fn pin_fetch_slow(&mut self, pc: u32) {
+    /// Set the line of `pc` to `line` ([`Line::Pinned`] or [`Line::Armed`]),
+    /// logging a code write when that changes it. No-op outside the cached
+    /// region — the slow path already covers such PCs.
+    fn set_fetch_pin(&mut self, pc: u32, line: Line) {
         if pc >= CODE_BASE && pc < self.icache.limit && pc.is_multiple_of(4) {
             let idx = ((pc - CODE_BASE) / 4) as usize;
-            self.icache.lines[idx] = Line::Pinned;
-            // Blocks covering a newly armed PC must die so fetches from it
-            // funnel through the single-step slow path.
-            self.icache.log_code_write(idx as u32, idx as u32);
+            if self.icache.lines[idx] != line {
+                self.icache.lines[idx] = line;
+                // Blocks covering the PC must die so they are retranslated
+                // around its new fetch semantics.
+                self.icache.log_code_write(idx as u32, idx as u32);
+            }
         }
     }
 
-    /// Remove a pin installed by [`Memory::pin_fetch_slow`], returning the
-    /// line to the lazily-decoded state.
+    /// Pin `pc` to the slow fetch path for a fetch breakpoint: blocks end
+    /// before it and every arrival runs on `Machine::step`.
+    pub(crate) fn pin_fetch_slow(&mut self, pc: u32) {
+        self.set_fetch_pin(pc, Line::Pinned);
+    }
+
+    /// Arm `pc` for fetch corruption: blocks end with a hooked trigger step
+    /// at it, the per-instruction paths take the slow fetch. Re-arming an
+    /// armed PC changes nothing, so translated blocks survive from one run
+    /// to the next under the same fault set.
+    pub(crate) fn arm_fetch(&mut self, pc: u32) {
+        self.set_fetch_pin(pc, Line::Armed);
+    }
+
+    /// Remove a pin or arm installed by [`Memory::pin_fetch_slow`] or
+    /// [`Memory::arm_fetch`], returning the line to the lazily-decoded
+    /// state.
     pub(crate) fn unpin_fetch(&mut self, pc: u32) {
         if pc >= CODE_BASE && pc < self.icache.limit && pc.is_multiple_of(4) {
             let idx = ((pc - CODE_BASE) / 4) as usize;
-            if self.icache.lines[idx] == Line::Pinned {
+            if matches!(self.icache.lines[idx], Line::Pinned | Line::Armed) {
                 self.icache.lines[idx] = Line::Empty;
                 // Blocks truncated at the pin may now be extendable;
                 // invalidating them lets translation take the longer form.
@@ -1157,6 +1193,17 @@ mod tests {
         // Unpinning a non-pinned line does not log.
         m.unpin_fetch(CODE_BASE + 24);
         assert!(!m.has_code_writes());
+
+        // Arming logs once; re-arming an armed line does not, so blocks
+        // ending in its trigger step survive; a breakpoint pin on it does.
+        m.arm_fetch(CODE_BASE + 28);
+        m.arm_fetch(CODE_BASE + 28);
+        assert_eq!(m.armed_word(CODE_BASE + 28), Some(nop));
+        m.pin_fetch_slow(CODE_BASE + 28);
+        assert_eq!(m.armed_word(CODE_BASE + 28), None);
+        let mut ranges = Vec::new();
+        m.drain_code_writes(|a, b| ranges.push((a, b)));
+        assert_eq!(ranges, vec![(7, 7), (7, 7)]);
 
         // Overflow degrades to a flush-all signal and stays sticky until
         // drained.

@@ -76,26 +76,80 @@ prop_compose! {
 /// One hook call as (kind, core, pc, value).
 type Hook = (u8, usize, u32, u32);
 
-/// The hooked-block-body inspector for the differential oracle.
-/// `FetchPolicy::None` keeps blocks on and the trait-default
-/// `block_quiescent` (false) sends every block through the hooked body.
-/// It logs every post-decode hook and retire — not `on_fetch`, which only
-/// the reference tier calls — and corrupts the register write-backs and
-/// load values of the PCs that `key` selects.
+/// The hooked-block-body inspector for the differential oracle. The
+/// trait-default `block_quiescent` (false) sends every block through the
+/// hooked body. It logs every post-decode hook and retire and corrupts the
+/// register write-backs and load values of the PCs that `key` selects.
+///
+/// With `armed` empty its `FetchPolicy::None` keeps `on_fetch` off the
+/// cached tiers (the reference tier still calls it for every PC; it is
+/// ignored then). Otherwise `FetchPolicy::Pcs(armed)` makes the armed PCs
+/// trigger steps of the blocks, and `on_fetch` logs each arrival at one and
+/// corrupts it by arrival: keeps the word, or turns it into a straight-line
+/// op, a branch, a syscall or `halt`, or an illegal word.
 struct HookLog {
     key: u32,
+    armed: Vec<u32>,
+    arrivals: u32,
     log: Vec<Hook>,
 }
 
 impl HookLog {
+    fn new(key: u32, armed: Vec<u32>) -> HookLog {
+        HookLog {
+            key,
+            armed,
+            arrivals: 0,
+            log: Vec::new(),
+        }
+    }
+
     fn corrupts(&self, pc: u32) -> bool {
         (pc.wrapping_mul(0x9E37_79B9) ^ self.key) >> 29 == 0
+    }
+
+    /// The PCs of a `len`-word image that `key` arms: about one in four.
+    fn arms(key: u32, len: usize) -> Vec<u32> {
+        (0..len as u32)
+            .map(|i| swifi_vm::CODE_BASE + 4 * i)
+            .filter(|pc| (pc.wrapping_mul(0x85EB_CA6B) ^ key.rotate_left(11)) >> 30 == 0)
+            .collect()
     }
 }
 
 impl Inspector for HookLog {
     fn fetch_policy(&self) -> FetchPolicy {
-        FetchPolicy::None
+        if self.armed.is_empty() {
+            FetchPolicy::None
+        } else {
+            FetchPolicy::Pcs(self.armed.clone())
+        }
+    }
+
+    fn on_fetch(&mut self, core: usize, pc: u32, word: &mut u32) {
+        if !self.armed.contains(&pc) {
+            return;
+        }
+        self.log.push((6, core, pc, *word));
+        self.arrivals += 1;
+        let roll =
+            (pc ^ self.arrivals.wrapping_mul(0x2545_F491) ^ self.key).wrapping_mul(0x9E37_79B9);
+        let imm = (self.key >> 16) as i16 % 8;
+        *word = match roll >> 29 {
+            0..=2 => *word,
+            3 | 4 => encode(Instr::Addi { rd: 3, ra: 3, imm }),
+            5 => encode(Instr::Bc {
+                crf: 0,
+                bit: CrBit::Lt,
+                expect: self.key & 1 == 0,
+                off: imm,
+            }),
+            6 if self.key & 2 == 0 => encode(Instr::Sc {
+                call: Syscall::PrintInt,
+            }),
+            6 => encode(Instr::Halt),
+            _ => 0,
+        };
     }
 
     fn on_load_addr(&mut self, core: usize, pc: u32, addr: &mut u32) {
@@ -252,6 +306,12 @@ proptest! {
             RunOutcome::Completed { .. } | RunOutcome::Trapped { .. } | RunOutcome::Hang { .. } => {}
         }
     }
+}
+
+proptest! {
+    // Most arbitrary words are illegal, so a case exercises few dispatch
+    // paths; the extra cases buy coverage of the trigger steps.
+    #![proptest_config(ProptestConfig::with_cases(1024))]
 
     /// The blocks ≡ reference oracle on arbitrary code: the block
     /// interpreter, the line-cached interpreter, and the seed
@@ -262,13 +322,20 @@ proptest! {
     /// replay the unpatched block). Under `Noop` blocks take the
     /// hook-free body; under a `HookLog` (`hook_key` is `Some`) they take
     /// the hooked body, and the tiers must also agree on every hook call
-    /// while some write-backs and loads are corrupted.
+    /// while some write-backs and loads are corrupted. With `arm` the
+    /// `HookLog` also arms key-selected PCs (`FetchPolicy::Pcs`), which the
+    /// block tier runs as trigger steps, and corrupts their fetches into
+    /// every kind of word.
     #[test]
     fn block_interpreter_matches_reference_on_random_code(
-        words in proptest::collection::vec(any::<u32>(), 1..128),
+        words in proptest::collection::vec(
+            prop_oneof![any::<u32>(), arb_instr().prop_map(encode)],
+            1..128,
+        ),
         patch_index in 0usize..128,
         patch_mask in 1u32..=u32::MAX,
         hook_key in prop_oneof![Just(None), any::<u32>().prop_map(Some)],
+        arm in any::<bool>(),
     ) {
         let len = words.len();
         let image = swifi_vm::Image { code: words, data: vec![], entry: swifi_vm::CODE_BASE };
@@ -279,7 +346,7 @@ proptest! {
                 &image,
                 tier,
                 patch,
-                &mut HookLog { key, log: Vec::new() },
+                &mut HookLog::new(key, if arm { HookLog::arms(key, len) } else { Vec::new() }),
                 |h| std::mem::take(&mut h.log),
             ),
         };

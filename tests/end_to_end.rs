@@ -291,3 +291,84 @@ fn default_campaigns_execute_no_hidden_work() {
         }
     }
 }
+
+/// The trigger-path counter gate. Every hang fault of the JB programs'
+/// seed-7 location choice has its trigger PC inside the loop that hangs,
+/// so each iteration fetches the trigger. Over 3 inputs, the per-run
+/// records `(mode, fired, retired, output)` must not depend on block
+/// translation or prefix forking, block translation must not change the
+/// slow-fetch count, and with blocks on at least 99% of the retired
+/// instructions must run inside translated blocks, trigger steps included.
+/// A change that makes trigger PCs leave the block tier again fails here.
+#[test]
+fn hang_loop_triggers_run_inside_blocks() {
+    use swifi_campaign::section6::chosen_locations;
+    use swifi_campaign::{classify_outcome, PrefixCache, RunSession};
+    use swifi_core::injector::TriggerMode;
+    let seed = 7u64;
+    for name in ["JB.team6", "JB.team11"] {
+        let target = program(name).unwrap();
+        let compiled = compile(target.source_correct).unwrap();
+        let (n_assign, n_check) = chosen_locations(name);
+        let set = generate_error_set(&compiled.debug, n_assign, n_check, seed);
+        let faults: Vec<_> = set.assign_faults.iter().chain(&set.check_faults).collect();
+        let inputs = target.family.test_case(3, seed ^ 0x5EED);
+        // Runs every (fault, input) pair of `faults` in one session.
+        let run_all =
+            |faults: &[&swifi_core::locations::GeneratedFault], blocks: bool, fork: bool| {
+                let mut session = RunSession::new(&compiled, target.family);
+                session.set_block_cache(blocks);
+                session.set_prefix_cache(fork.then(PrefixCache::shared));
+                let mut records = Vec::new();
+                for fault in faults {
+                    for (j, input) in inputs.iter().enumerate() {
+                        let run_seed = seed
+                            .wrapping_mul(0x9E3779B97F4A7C15)
+                            .wrapping_add(fault.site_addr as u64)
+                            .wrapping_add(j as u64);
+                        let (outcome, fired) = session.run_injected(
+                            input,
+                            std::slice::from_ref(&fault.spec),
+                            TriggerMode::Hardware,
+                            run_seed,
+                        );
+                        let mode = classify_outcome(&outcome, &input.expected_output());
+                        records.push((
+                            mode,
+                            fired,
+                            session.last_retired(),
+                            outcome.output().to_vec(),
+                        ));
+                    }
+                }
+                (records, session.stats())
+            };
+        let (all, _) = run_all(&faults, false, false);
+        let hangs: Vec<_> = faults
+            .iter()
+            .zip(all.chunks(inputs.len()))
+            .filter(|(_, runs)| runs.iter().any(|r| r.0 == FailureMode::Hang))
+            .map(|(f, _)| *f)
+            .collect();
+        assert!(!hangs.is_empty(), "{name}: no hang fault at seed {seed}");
+        let (plain, plain_stats) = run_all(&hangs, false, false);
+        for fork in [false, true] {
+            let (off, off_stats) = run_all(&hangs, false, fork);
+            let (on, on_stats) = run_all(&hangs, true, fork);
+            assert_eq!(plain, off, "{name}: fork {fork} changed the records");
+            assert_eq!(off, on, "{name} fork {fork}: blocks changed the records");
+            assert_eq!(
+                off_stats.slow_fetches, on_stats.slow_fetches,
+                "{name} fork {fork}: blocks changed the slow fetches"
+            );
+            assert!(on_stats.slow_fetches > 0, "{name}: no trigger arrival");
+            assert!(
+                on_stats.block_instrs as f64 >= 0.99 * on_stats.retired_instrs as f64,
+                "{name} fork {fork}: {} of {} instructions in blocks",
+                on_stats.block_instrs,
+                on_stats.retired_instrs
+            );
+        }
+        assert_eq!(plain_stats.block_instrs, 0);
+    }
+}
